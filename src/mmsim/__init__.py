@@ -22,9 +22,6 @@ from .core import (
     exo,
     find_membranes,
     iter_membranes,
-    multiset_add,
-    multiset_contains,
-    multiset_sub,
     render_tree,
     rewrite,
     send_in,
@@ -34,6 +31,7 @@ from .core import (
     validate,
 )
 from .engine import (
+    CountOverflow,
     EngineError,
     EngineOptions,
     InstanceBoundExceeded,
@@ -42,7 +40,6 @@ from .engine import (
     Trace,
     TraceStep,
     enumerate_instances,
-    is_jointly_applicable,
     label_totals,
     run,
     step,

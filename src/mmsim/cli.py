@@ -17,7 +17,7 @@ from .bone import BoneParams, build_bone_model, density_series
 from .coupling import FIRST_CYCLE_EXTRA_STEPS, carrier_cycle_length
 from .engine import EngineError, EngineOptions, label_totals, run
 from .parser import ParseError, lint, parse_model, serialize_model
-from .tracefile import dump_trace, model_hash
+from .tracefile import model_hash, write_trace
 
 __all__ = ["RunConfig", "cmd_validate", "cmd_run", "cmd_bone", "main"]
 
@@ -79,7 +79,7 @@ def cmd_validate(path: str) -> int:
 def _write_trace_file(trace, model, path: str, snapshot_every: int) -> int:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fp:
-            fp.write(dump_trace(trace, model_hash(model), snapshot_every))
+            write_trace(trace, model_hash(model), fp, snapshot_every)
     except OSError as exc:
         print(f"{path}: error: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_IO
@@ -119,6 +119,11 @@ def cmd_run(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def bone_step_bound(params: BoneParams) -> int:
+    """Steps of a bone run: the lead-in, every cycle and the halting step."""
+    return FIRST_CYCLE_EXTRA_STEPS + carrier_cycle_length() * params.cycles + 1
+
+
 def cmd_bone(params: BoneParams, seed: int = 0, emit_model: str | None = None,
              trace_path: str | None = None) -> int:
     """Build the bone model, run it to halt, print the density CSV."""
@@ -130,10 +135,8 @@ def cmd_bone(params: BoneParams, seed: int = 0, emit_model: str | None = None,
         except OSError as exc:
             print(f"{emit_model}: error: {exc.strerror or exc}", file=sys.stderr)
             return EXIT_IO
-    # Enough steps for every cycle plus lead-in and the final settling tail.
-    bound = FIRST_CYCLE_EXTRA_STEPS + carrier_cycle_length() * params.cycles + 16
     try:
-        trace = run(model, EngineOptions(seed=seed), max_steps=bound)
+        trace = run(model, EngineOptions(seed=seed), max_steps=bone_step_bound(params))
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL

@@ -38,9 +38,6 @@ __all__ = [
     "Multiset",
     "EMPTY",
     "as_multiset",
-    "multiset_contains",
-    "multiset_add",
-    "multiset_sub",
     "RuleForm",
     "Rule",
     "rewrite",
@@ -208,20 +205,6 @@ def as_multiset(value: Multiset | Mapping[str, int] | Iterable[tuple[str, int]] 
     if isinstance(value, Multiset):
         return value
     return Multiset(value)
-
-
-def multiset_contains(a: Multiset, b: Multiset) -> bool:
-    """True iff every symbol occurs in *a* at least as often as in *b*."""
-    return a.contains(b)
-
-
-def multiset_add(a: Multiset, b: Multiset) -> Multiset:
-    return a + b
-
-
-def multiset_sub(a: Multiset, b: Multiset) -> Multiset:
-    """Multiset difference; requires ``multiset_contains(a, b)``."""
-    return a - b
 
 
 class RuleForm(Enum):
@@ -392,17 +375,6 @@ class Configuration:
     @cached_property
     def by_id(self) -> dict[int, Membrane]:
         return {m.id: m for m in iter_membranes(self.skin)}
-
-    @cached_property
-    def parent_ids(self) -> dict[int, int | None]:
-        parents: dict[int, int | None] = {self.skin.id: None}
-        for m in iter_membranes(self.skin):
-            for child in m.children:
-                parents[child.id] = m.id
-        return parents
-
-    def membrane(self, membrane_id: int) -> Membrane:
-        return self.by_id[membrane_id]
 
 
 def iter_membranes(root: Membrane) -> Iterator[Membrane]:

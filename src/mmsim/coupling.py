@@ -47,15 +47,16 @@ from dataclasses import dataclass
 from .core import Multiset, Rule, endo, exo, is_reserved_symbol, is_symbol, rewrite, send_in, send_out
 
 __all__ = ["CouplingSpec", "generate_carrier_protocol", "carrier_cycle_length",
-           "FIRST_CYCLE_EXTRA_STEPS", "PHASE_COUNT"]
+           "FIRST_CYCLE_EXTRA_STEPS", "PHASE_COUNT", "DRAIN_PHASE"]
 
 PHASE_COUNT = 14
+DRAIN_PHASE = 2
 
-# Steady-state steps of one macro-cycle (drain phase p2 back to p2) and the
-# lead-in from the initial p0 parking spot to the first drain.  Both values
-# are measured from engine traces in the test suite before being relied on.
-_STEADY_CYCLE_STEPS = 12
-FIRST_CYCLE_EXTRA_STEPS = 2
+# The carrier advances exactly one phase per step.  It starts parked in p0
+# and every restart returns it from the last phase to the drain phase, so
+# the lead-in to the first drain takes DRAIN_PHASE steps and a steady-state
+# cycle takes PHASE_COUNT - DRAIN_PHASE steps.
+FIRST_CYCLE_EXTRA_STEPS = DRAIN_PHASE
 
 
 @dataclass(frozen=True)
@@ -148,9 +149,9 @@ def generate_carrier_protocol(spec: CouplingSpec) -> tuple[Rule, ...]:
 
     return (
         exo(rid("depart"), V, CU, p(0) + Multiset(cyc), p(1)),
-        endo(rid("enter_tissue"), V, T, p(1), p(2)),
-        send_in(rid("drain"), V, payload, loaded, promoter=p(2)),
-        rewrite(rid("drain_done"), V, p(2), p(3)),
+        endo(rid("enter_tissue"), V, T, p(1), p(DRAIN_PHASE)),
+        send_in(rid("drain"), V, payload, loaded, promoter=p(DRAIN_PHASE)),
+        rewrite(rid("drain_done"), V, p(DRAIN_PHASE), p(3)),
         exo(rid("exit_tissue"), V, T, p(3), p(4)),
         endo(rid("enter_coupling"), V, CU, p(4), p(5)),
         endo(rid("enter_micro"), V, BMU, p(5), p(6)),
@@ -165,10 +166,10 @@ def generate_carrier_protocol(spec: CouplingSpec) -> tuple[Rule, ...]:
         exo(rid("exit_coupling"), V, CU, p(11), p(12)),
         endo(rid("reenter_tissue"), V, T, p(12), p(13)),
         send_out(rid("deposit"), V, returning, payload, promoter=p(13)),
-        rewrite(rid("restart"), V, p(13) + Multiset(cyc), p(2)),
+        rewrite(rid("restart"), V, p(13) + Multiset(cyc), p(DRAIN_PHASE)),
     )
 
 
 def carrier_cycle_length() -> int:
     """Engine steps of one steady-state macro-cycle (p2 back to p2)."""
-    return _STEADY_CYCLE_STEPS
+    return PHASE_COUNT - DRAIN_PHASE

@@ -21,16 +21,19 @@ The mover-lock in (2) is what makes (3) well defined: because a membrane is
 in at most one structural role per step, the post-step parent assignment
 can be shown to be cycle-free.
 
-If no instance is applicable the step reports ``halted`` and returns the
-configuration unchanged.
+A run steps one flat, id-indexed state in place; immutable
+:class:`Configuration` values are built only where the API hands one out.
+If no instance is applicable the step reports ``halted`` and leaves the
+state unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import (
+    MAX_COUNT,
     Configuration,
     Membrane,
     Multiset,
@@ -38,7 +41,6 @@ from .core import (
     RuleForm,
     RuleInstance,
     iter_membranes,
-    validate,
 )
 from .parser import Model
 from .rng import RNG_ALGORITHM, SplitMix64
@@ -46,6 +48,7 @@ from .rng import RNG_ALGORITHM, SplitMix64
 __all__ = [
     "EngineError",
     "InstanceBoundExceeded",
+    "CountOverflow",
     "SelfCheckViolation",
     "EngineOptions",
     "StepResult",
@@ -53,7 +56,6 @@ __all__ = [
     "TraceStep",
     "Trace",
     "enumerate_instances",
-    "is_jointly_applicable",
     "step",
     "run",
     "label_totals",
@@ -66,6 +68,10 @@ class EngineError(RuntimeError):
 
 class InstanceBoundExceeded(EngineError):
     """More candidate applications than the configured safety bound."""
+
+
+class CountOverflow(EngineError):
+    """A step would raise an object count above ``MAX_COUNT``."""
 
 
 class SelfCheckViolation(EngineError):
@@ -127,94 +133,100 @@ class Trace:
 
 
 # ---------------------------------------------------------------------------
+# The flat state a run steps in place
+
+class _State:
+    """A membrane tree as id-indexed dicts; contents hold positive counts.
+
+    Labels never change, so ``by_label`` (ids in increasing order) is built
+    once and stays valid for the whole run.
+    """
+
+    def __init__(self, config: Configuration):
+        self.skin = config.skin.id
+        self.labels: dict[int, str] = {}
+        self.parent: dict[int, int | None] = {self.skin: None}
+        self.children: dict[int, list[int]] = {}
+        self.contents: dict[int, dict[str, int]] = {}
+        by_label: dict[str, list[int]] = {}
+        for m in iter_membranes(config.skin):
+            self.labels[m.id] = m.label
+            self.children[m.id] = [c.id for c in m.children]
+            self.contents[m.id] = dict(m.contents.items())
+            for c in m.children:
+                self.parent[c.id] = m.id
+            by_label.setdefault(m.label, []).append(m.id)
+        self.by_label = {label: sorted(ids) for label, ids in by_label.items()}
+
+    def config(self) -> Configuration:
+        def build(mid: int) -> Membrane:
+            return Membrane(mid, self.labels[mid], Multiset(self.contents[mid]),
+                            tuple(build(c) for c in self.children[mid]))
+
+        return Configuration(build(self.skin))
+
+
+def _fits(counts: dict[str, int], need: Multiset) -> bool:
+    # Hot loops read the multiset's dict directly; Multiset.items() sorts.
+    return all(counts.get(sym, 0) >= n for sym, n in need._counts.items())
+
+
+# ---------------------------------------------------------------------------
 # Instance enumeration
+
+def _enumerate(state: _State, rules: Sequence[Rule]) -> list[RuleInstance]:
+    """Applicable instances in rule order, then subject id, then host id."""
+    labels, parent, contents = state.labels, state.parent, state.contents
+    out: list[RuleInstance] = []
+    for rule in rules:
+        form, consumed = rule.form, rule.consumed
+        for sid in state.by_label.get(rule.subject, ()):
+            here = contents[sid]
+            if rule.promoter is not None and not _fits(here, rule.promoter):
+                continue
+            pid = parent[sid]
+            if form is RuleForm.REWRITE:
+                if _fits(here, consumed):
+                    out.append(RuleInstance(rule, sid, parent_id=pid))
+            elif pid is None:
+                continue
+            elif form is RuleForm.ENDO:
+                if _fits(here, consumed):
+                    for hid in sorted(state.children[pid]):
+                        if hid != sid and labels[hid] == rule.host:
+                            out.append(RuleInstance(rule, sid, host_id=hid, parent_id=pid))
+            elif form is RuleForm.EXO:
+                # The subject leaves its parent and becomes the parent's
+                # sibling; the root has no siblings, so exo out of the skin
+                # is never applicable.
+                if (labels[pid] == rule.host and parent[pid] is not None
+                        and _fits(here, consumed)):
+                    out.append(RuleInstance(rule, sid, host_id=pid, parent_id=pid))
+            elif form is RuleForm.SEND_IN:
+                if _fits(contents[pid], consumed):
+                    out.append(RuleInstance(rule, sid, parent_id=pid))
+            elif _fits(here, consumed):  # SEND_OUT
+                out.append(RuleInstance(rule, sid, parent_id=pid))
+    return out
+
 
 def enumerate_instances(config: Configuration, rules: Sequence[Rule]) -> list[RuleInstance]:
     """Every individually applicable binding of the rules to the tree.
 
     Order is deterministic: rule order, then subject id, then host id.
     """
-    parents: dict[int, Membrane | None] = {config.skin.id: None}
-    by_label: dict[str, list[Membrane]] = {}
-    for m in iter_membranes(config.skin):
-        by_label.setdefault(m.label, []).append(m)
-        for child in m.children:
-            parents[child.id] = m
-
-    out: list[RuleInstance] = []
-    for rule_index, rule in enumerate(rules):
-        for subject in by_label.get(rule.subject, ()):
-            if rule.promoter is not None and not subject.contents.contains(rule.promoter):
-                continue
-            parent = parents[subject.id]
-            form = rule.form
-            if form is RuleForm.REWRITE:
-                if subject.contents.contains(rule.consumed):
-                    out.append(RuleInstance(rule, subject.id,
-                                            parent_id=parent.id if parent else None))
-            elif form is RuleForm.ENDO:
-                if parent is None or not subject.contents.contains(rule.consumed):
-                    continue
-                for host in parent.children:
-                    if host.id != subject.id and host.label == rule.host:
-                        out.append(RuleInstance(rule, subject.id, host_id=host.id,
-                                                parent_id=parent.id))
-            elif form is RuleForm.EXO:
-                # The subject leaves its parent and becomes the parent's
-                # sibling; the root has no siblings, so exo out of the skin
-                # is never applicable.
-                if (parent is not None and parent.label == rule.host
-                        and parents[parent.id] is not None
-                        and subject.contents.contains(rule.consumed)):
-                    out.append(RuleInstance(rule, subject.id, host_id=parent.id,
-                                            parent_id=parent.id))
-            elif form is RuleForm.SEND_IN:
-                if parent is not None and parent.contents.contains(rule.consumed):
-                    out.append(RuleInstance(rule, subject.id, parent_id=parent.id))
-            else:  # SEND_OUT
-                if parent is not None and subject.contents.contains(rule.consumed):
-                    out.append(RuleInstance(rule, subject.id, parent_id=parent.id))
-
-    index_of = {id(rule): i for i, rule in enumerate(rules)}
-    out.sort(key=lambda inst: (index_of[id(inst.rule)], inst.subject_id,
-                               -1 if inst.host_id is None else inst.host_id))
-    return out
+    return _enumerate(_State(config), rules)
 
 
 # ---------------------------------------------------------------------------
-# Joint applicability and maximal selection
-
-def is_jointly_applicable(config: Configuration, instances: Iterable[RuleInstance]) -> bool:
-    """Resource and mover-lock compatibility of a multiset of instances.
-
-    Each instance must already be individually applicable.  True iff the
-    summed consumption per membrane fits its pre-step contents and no
-    membrane occurs twice across the structural roles of endo/exo moves.
-    """
-    demand: dict[int, dict[str, int]] = {}
-    locked: set[int] = set()
-    for inst in instances:
-        src = demand.setdefault(inst.consumes_from, {})
-        for sym, n in inst.rule.consumed.items():
-            src[sym] = src.get(sym, 0) + n
-        for mid in inst.structural_ids:
-            if mid in locked:
-                return False
-            locked.add(mid)
-    for mid, needs in demand.items():
-        contents = config.by_id[mid].contents
-        if any(contents[sym] < n for sym, n in needs.items()):
-            return False
-    return True
-
+# Maximal selection
 
 class _Selection:
     """Mutable accounting while building a maximal instance multiset."""
 
-    def __init__(self, config: Configuration, limit: int):
-        self.residual = {m.id: dict(m.contents.items()) for m in iter_membranes(config.skin)}
+    def __init__(self, state: _State, limit: int):
+        self.residual = {mid: dict(counts) for mid, counts in state.contents.items()}
         self.locked: set[int] = set()
-        self.chosen: dict[RuleInstance, int] = {}
         self.total = 0
         self.limit = limit
 
@@ -223,14 +235,8 @@ class _Selection:
         if inst.rule.moves_membrane and not self.locked.isdisjoint(inst.structural_ids):
             return 0
         left = self.residual[inst.consumes_from]
-        k = None
-        for sym, n in inst.rule.consumed.items():
-            avail = left.get(sym, 0) // n
-            k = avail if k is None else min(k, avail)
-            if k == 0:
-                return 0
-        assert k is not None  # consumed is never empty
-        return 1 if inst.rule.moves_membrane else k
+        k = min(left.get(sym, 0) // n for sym, n in inst.rule.consumed._counts.items())
+        return min(k, 1) if inst.rule.moves_membrane else k
 
     def take(self, inst: RuleInstance, k: int) -> None:
         self.total += k
@@ -238,122 +244,144 @@ class _Selection:
             raise InstanceBoundExceeded(
                 f"step would apply more than {self.limit} instances; runaway model?")
         left = self.residual[inst.consumes_from]
-        for sym, n in inst.rule.consumed.items():
+        for sym, n in inst.rule.consumed._counts.items():
             left[sym] -= k * n
         self.locked.update(inst.structural_ids)
-        self.chosen[inst] = self.chosen.get(inst, 0) + k
 
 
-def _select_maximal(config: Configuration, instances: list[RuleInstance],
-                    rng: SplitMix64, options: EngineOptions) -> _Selection:
-    order = list(instances)
+def _select_maximal(state: _State, instances: list[RuleInstance], rng: SplitMix64,
+                    options: EngineOptions) -> tuple[_Selection, list[int]]:
+    """Multiplicity per instance of a maximal multiset, chosen greedily in
+    seeded-shuffle order."""
+    order = list(range(len(instances)))
     rng.shuffle(order)
-    sel = _Selection(config, options.max_instances_per_step)
-    # Consumption only accumulates, so one greedy pass that takes the largest
-    # multiplicity each time already reaches a maximal multiset; the loop
-    # runs until a pass adds nothing, which doubles as a cheap invariant.
-    added = True
-    while added:
-        added = False
-        for inst in order:
-            k = sel.addable(inst)
-            if k > 0:
-                sel.take(inst, k)
-                added = True
-    return sel
+    sel = _Selection(state, options.max_instances_per_step)
+    counts = [0] * len(instances)
+    # One pass is maximal: residuals only shrink and locks only grow, so an
+    # instance that does not fit when visited never fits later.
+    for i in order:
+        k = sel.addable(instances[i])
+        if k > 0:
+            sel.take(instances[i], k)
+            counts[i] = k
+    return sel, counts
 
 
 # ---------------------------------------------------------------------------
-# Effect application
+# Effect application and the self-check
 
-def _apply(config: Configuration, applied: Sequence[tuple[RuleInstance, int]]) -> Configuration:
-    labels: dict[int, str] = {}
-    contents: dict[int, dict[str, int]] = {}
-    children: dict[int, list[int]] = {}
-    parent: dict[int, int | None] = {config.skin.id: None}
-    for m in iter_membranes(config.skin):
-        labels[m.id] = m.label
-        contents[m.id] = dict(m.contents.items())
-        children[m.id] = [c.id for c in m.children]
-        for c in m.children:
-            parent[c.id] = m.id
-    pre_parent = dict(parent)
-
+def _apply(state: _State, applied: Sequence[tuple[RuleInstance, int]]) -> None:
+    contents, parent, children = state.contents, state.parent, state.children
     moves: list[tuple[int, int]] = []
     for inst, k in applied:
+        rule = inst.rule
         src = contents[inst.consumes_from]
-        for sym, n in inst.rule.consumed.items():
-            src[sym] = src.get(sym, 0) - k * n
-            if src[sym] < 0:
+        for sym, n in rule.consumed.items():
+            left = src.get(sym, 0) - k * n
+            if left < 0:
                 raise EngineError(
-                    f"internal underflow applying {inst.rule.id!r}: joint check missed it")
+                    f"internal underflow applying {rule.id!r}: joint check missed it")
+            if left:
+                src[sym] = left
+            else:
+                del src[sym]
         dst = contents[inst.produces_into]
-        for sym, n in inst.rule.produced.items():
-            dst[sym] = dst.get(sym, 0) + k * n
-        if inst.rule.moves_membrane:
-            if inst.rule.form is RuleForm.ENDO:
-                target = inst.host_id
-            else:  # EXO: out of the host, under the host's pre-step parent
-                target = pre_parent[inst.host_id]  # type: ignore[index]
-            assert target is not None
+        for sym, n in rule.produced.items():
+            total = dst.get(sym, 0) + k * n
+            if total > MAX_COUNT:
+                raise CountOverflow(
+                    f"rule {rule.id!r} would raise the count of {sym!r} above {MAX_COUNT}")
+            dst[sym] = total
+        if rule.moves_membrane:
+            # EXO leaves the host for the host's parent; every target is read
+            # before any move below changes a parent.
+            target = inst.host_id if rule.form is RuleForm.ENDO else parent[inst.host_id]
             moves.append((inst.subject_id, target))
 
-    for child_id, new_parent in moves:
-        children[parent[child_id]].remove(child_id)  # type: ignore[index]
-        children[new_parent].append(child_id)
-        parent[child_id] = new_parent
+    for child, new_parent in moves:
+        children[parent[child]].remove(child)
+        children[new_parent].append(child)
+        parent[child] = new_parent
 
-    def rebuild(mid: int) -> Membrane:
-        counts = {sym: n for sym, n in contents[mid].items() if n != 0}
-        return Membrane(mid, labels[mid], Multiset(counts),
-                        tuple(rebuild(c) for c in children[mid]))
 
-    return Configuration(rebuild(config.skin.id))
+def _structural_violations(state: _State) -> list[str]:
+    """Every membrane must be reachable from the skin exactly once, and no
+    stored count may be <= 0.  An empty list means the state is valid."""
+    violations: list[str] = []
+    seen: set[int] = set()
+    stack = [state.skin]
+    while stack:
+        mid = stack.pop()
+        if mid in seen:
+            violations.append(f"shared-membrane: membrane id {mid} reachable twice")
+            continue
+        seen.add(mid)
+        for sym, n in state.contents[mid].items():
+            if n <= 0:
+                violations.append(f"zero-count: membrane {mid} stores {sym}*{n}")
+        stack.extend(state.children[mid])
+    for mid in sorted(state.labels.keys() - seen):
+        violations.append(f"detached: membrane {mid} is not reachable from the skin")
+    return violations
+
+
+def _check_step(state: _State, instances: list[RuleInstance], sel: _Selection) -> None:
+    """The self-check: one maximality rescan and one structural check."""
+    leftover = sum(1 for inst in instances if sel.addable(inst) > 0)
+    if leftover:
+        raise SelfCheckViolation(f"step is not maximal: {leftover} instances still addable")
+    violations = _structural_violations(state)
+    if violations:
+        raise SelfCheckViolation(f"post-step configuration invalid: {violations}")
 
 
 # ---------------------------------------------------------------------------
 # The step relation and runs
 
-def step(config: Configuration, rules: Sequence[Rule], rng: SplitMix64,
-         options: EngineOptions = EngineOptions()) -> StepResult:
-    """One maximally parallel step; halts when nothing is applicable."""
-    instances = enumerate_instances(config, rules)
+def _step(state: _State, rules: Sequence[Rule], rng: SplitMix64,
+          options: EngineOptions) -> tuple[tuple[RuleInstance, int], ...]:
+    """Advance *state* by one step in place; returns the applied instances
+    with their multiplicities, empty when the step halts."""
+    instances = _enumerate(state, rules)
     if len(instances) > options.max_instances_per_step:
         raise InstanceBoundExceeded(
             f"{len(instances)} candidate instances exceed the bound "
             f"{options.max_instances_per_step}")
     if not instances:
-        return StepResult(config, (), True)
-
-    sel = _select_maximal(config, instances, rng, options)
-    index_of = {id(rule): i for i, rule in enumerate(rules)}
-    applied = tuple(sorted(
-        sel.chosen.items(),
-        key=lambda item: (index_of[id(item[0].rule)], item[0].subject_id,
-                          -1 if item[0].host_id is None else item[0].host_id),
-    ))
-    new_config = _apply(config, applied)
-
+        return ()
+    sel, counts = _select_maximal(state, instances, rng, options)
+    applied = tuple((inst, k) for inst, k in zip(instances, counts) if k)
+    _apply(state, applied)
     if options.self_check:
-        leftover = [inst for inst in instances if sel.addable(inst) > 0]
-        if leftover:
-            raise SelfCheckViolation(
-                f"step is not maximal: {len(leftover)} instances still addable")
-        violations = validate(new_config)
-        if violations:
-            raise SelfCheckViolation(f"post-step configuration invalid: {violations}")
+        _check_step(state, instances, sel)
+    return applied
 
-    return StepResult(new_config, applied, False)
+
+def step(config: Configuration, rules: Sequence[Rule], rng: SplitMix64,
+         options: EngineOptions = EngineOptions()) -> StepResult:
+    """One maximally parallel step; halts when nothing is applicable."""
+    state = _State(config)
+    applied = _step(state, rules, rng, options)
+    if not applied:
+        return StepResult(config, (), True)
+    return StepResult(state.config(), applied, False)
+
+
+def _totals(state: _State) -> dict[str, dict[str, int]]:
+    totals: dict[str, dict[str, int]] = {}
+    for label, ids in state.by_label.items():
+        agg: dict[str, int] = {}
+        for mid in ids:
+            for sym, n in state.contents[mid].items():
+                agg[sym] = agg.get(sym, 0) + n
+        # Sorted, so the order does not depend on which rules touched a count.
+        totals[label] = dict(sorted(agg.items()))
+    return totals
 
 
 def label_totals(config: Configuration) -> dict[str, dict[str, int]]:
     """Object counts of the whole tree, aggregated per membrane label."""
-    totals: dict[str, dict[str, int]] = {}
-    for m in iter_membranes(config.skin):
-        agg = totals.setdefault(m.label, {})
-        for sym, n in m.contents.items():
-            agg[sym] = agg.get(sym, 0) + n
-    return totals
+    return _totals(_State(config))
 
 
 def _summarize(applied: tuple[tuple[RuleInstance, int], ...]) -> tuple[AppliedRule, ...]:
@@ -372,13 +400,11 @@ def run(model: Model, options: EngineOptions = EngineOptions(),
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     rng = SplitMix64(options.seed)
-    config = model.config
+    state = _State(model.config)
     steps: list[TraceStep] = []
     for index in range(max_steps):
-        result = step(config, model.rules, rng, options)
-        config = result.config
-        steps.append(TraceStep(index, _summarize(result.applied), result.halted,
-                               label_totals(config)))
-        if result.halted:
+        applied = _step(state, model.rules, rng, options)
+        steps.append(TraceStep(index, _summarize(applied), not applied, _totals(state)))
+        if not applied:
             break
-    return Trace(options.seed, RNG_ALGORITHM, tuple(steps), config)
+    return Trace(options.seed, RNG_ALGORITHM, tuple(steps), state.config())

@@ -69,9 +69,6 @@ class Model:
                 raise ValueError(f"duplicate rule id {rule.id!r}")
             seen.add(rule.id)
 
-    def rules_by_id(self) -> dict[str, Rule]:
-        return {r.id: r for r in self.rules}
-
 
 # ---------------------------------------------------------------------------
 # Lexer

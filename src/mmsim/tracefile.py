@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import IO
+from typing import IO, Iterator
 
 from .engine import Trace
 from .parser import Model, serialize_model
 
-__all__ = ["model_hash", "write_trace", "dump_trace", "trace_lines"]
+__all__ = ["model_hash", "write_trace", "dump_trace"]
 
 
 def model_hash(model: Model) -> str:
@@ -38,10 +38,11 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def trace_lines(trace: Trace, digest: str, snapshot_every: int = 1) -> list[str]:
+def _trace_lines(trace: Trace, digest: str, snapshot_every: int) -> Iterator[str]:
+    """The trace file's lines, without line terminators, one at a time."""
     if snapshot_every < 1:
         raise ValueError("snapshot_every must be >= 1")
-    lines = [_dump({"seed": trace.seed, "rng": trace.rng, "model_hash": digest})]
+    yield _dump({"seed": trace.seed, "rng": trace.rng, "model_hash": digest})
     last = len(trace.steps) - 1
     for i, step in enumerate(trace.steps):
         record = {
@@ -52,13 +53,14 @@ def trace_lines(trace: Trace, digest: str, snapshot_every: int = 1) -> list[str]
         }
         if step.index % snapshot_every == 0 or i == last:
             record["state"] = step.state
-        lines.append(_dump(record))
-    return lines
+        yield _dump(record)
 
 
 def dump_trace(trace: Trace, digest: str, snapshot_every: int = 1) -> str:
-    return "\n".join(trace_lines(trace, digest, snapshot_every)) + "\n"
+    return "".join(line + "\n" for line in _trace_lines(trace, digest, snapshot_every))
 
 
 def write_trace(trace: Trace, digest: str, fp: IO[str], snapshot_every: int = 1) -> None:
-    fp.write(dump_trace(trace, digest, snapshot_every))
+    """Write the same text as :func:`dump_trace`, one line at a time."""
+    for line in _trace_lines(trace, digest, snapshot_every):
+        fp.write(line + "\n")

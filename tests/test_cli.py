@@ -88,6 +88,15 @@ class TestRun:
         assert main(["run", str(CORPUS / "ghost.mm")]) == 2
         capsys.readouterr()
 
+    def test_count_overflow_is_one_error_line(self, tmp_path, capsys):
+        model = tmp_path / "overflow.mm"
+        model.write_text("[s: a*2]\nrule g: in s: a -> b*5000000000000000000\n")
+        assert main(["run", str(model)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.count("\n") == 1 and out.err.startswith("error: ")
+        assert "'g'" in out.err and "'b'" in out.err
+
 
 class TestBone:
     def test_reference_row(self, capsys):

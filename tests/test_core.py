@@ -18,9 +18,6 @@ from mmsim.core import (
     endo,
     find_membranes,
     is_symbol,
-    multiset_add,
-    multiset_contains,
-    multiset_sub,
     rewrite,
     structurally_equal,
     total_objects,
@@ -43,31 +40,31 @@ class TestSymbols:
 
 class TestMultiset:
     def test_contains_subset(self):
-        assert multiset_contains(Multiset({"c": 10}), Multiset({"c": 3}))
+        assert Multiset({"c": 10}).contains(Multiset({"c": 3}))
 
     def test_contains_empty_in_everything(self):
-        assert multiset_contains(Multiset(), Multiset())
-        assert multiset_contains(Multiset({"c": 2}), Multiset())
+        assert Multiset().contains(Multiset())
+        assert Multiset({"c": 2}).contains(Multiset())
 
     def test_contains_missing_symbol(self):
-        assert not multiset_contains(Multiset({"c": 2}), Multiset({"c": 2, "x": 1}))
+        assert not Multiset({"c": 2}).contains(Multiset({"c": 2, "x": 1}))
 
     def test_sub_annihilation(self):
-        assert multiset_sub(Multiset({"c": 10}), Multiset({"c": 10})) == Multiset()
+        assert Multiset({"c": 10}) - Multiset({"c": 10}) == Multiset()
 
     def test_sub_partial(self):
-        got = multiset_sub(Multiset({"c": 10, "m": 2}), Multiset({"c": 3}))
+        got = Multiset({"c": 10, "m": 2}) - Multiset({"c": 3})
         assert got == Multiset({"c": 7, "m": 2})
 
     def test_sub_underflow(self):
         with pytest.raises(MultisetUnderflow):
-            multiset_sub(Multiset({"c": 1}), Multiset({"c": 2}))
+            Multiset({"c": 1}) - Multiset({"c": 2})
 
     def test_add_identity(self):
-        assert multiset_add(Multiset(), Multiset({"c": 5})) == Multiset({"c": 5})
+        assert Multiset() + Multiset({"c": 5}) == Multiset({"c": 5})
 
     def test_add_counts(self):
-        assert multiset_add(Multiset({"c": 7}), Multiset({"c": 3})) == Multiset({"c": 10})
+        assert Multiset({"c": 7}) + Multiset({"c": 3}) == Multiset({"c": 10})
 
     def test_add_accumulates(self):
         got = (Multiset({"a": 1}) + Multiset({"b": 1})) + Multiset({"a": 1})

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from mmsim.bone import BoneParams, build_bone_model
+from mmsim.cli import bone_step_bound
 from mmsim.coupling import (
     FIRST_CYCLE_EXTRA_STEPS,
     CouplingSpec,
@@ -91,6 +92,19 @@ class TestTiming:
         assert trace.halted
         # lead-in + full cycles + the recorded halting step
         assert len(trace.steps) == FIRST_CYCLE_EXTRA_STEPS + 12 * cycles + 1
+
+    @pytest.mark.parametrize("units", [1, 2, 3])
+    @pytest.mark.parametrize("oc,ob", [(0, 0), (3, 1), (1, 5)])
+    @pytest.mark.parametrize("density", [0.0, 0.5, 1.0])
+    def test_cli_step_bound_reaches_halt(self, density, oc, ob, units):
+        for cycles in range(4):
+            params = BoneParams(density=density, oc=oc, ob=ob, cycles=cycles, units=units)
+            bound = bone_step_bound(params)
+            for seed in range(5):
+                trace = run(build_bone_model(params), EngineOptions(seed=seed),
+                            max_steps=bound)
+                assert trace.halted, (cycles, seed)
+                assert bound >= len(trace.steps)
 
     def test_no_cycle_tokens_means_carrier_never_leaves(self):
         trace = bone_trace(cycles=0)

@@ -1,9 +1,10 @@
-"""Step semantics: enumeration, joint applicability, maximality, runs."""
+"""Step semantics: enumeration, joint applicability, maximality, self-check, runs."""
 
 from __future__ import annotations
 
 import pytest
 
+from mmsim import engine
 from mmsim.core import (
     build_configuration,
     endo,
@@ -17,8 +18,8 @@ from mmsim.core import (
 from mmsim.engine import (
     EngineOptions,
     InstanceBoundExceeded,
+    SelfCheckViolation,
     enumerate_instances,
-    is_jointly_applicable,
     label_totals,
     run,
     step,
@@ -77,23 +78,77 @@ class TestEnumerate:
 class TestJointApplicability:
     def test_resources_suffice(self):
         cfg = build_configuration(("skin", {"c": 2}, []))
-        (inst,) = enumerate_instances(cfg, [rewrite("r", "skin", {"c": 1}, {})])
-        assert is_jointly_applicable(cfg, [inst, inst])
+        result = step(cfg, [rewrite("r", "skin", {"c": 1}, {})], SplitMix64(0))
+        assert [(i.rule.id, k) for i, k in result.applied] == [("r", 2)]
 
     def test_resource_conflict(self):
         cfg = build_configuration(("skin", {"c": 1}, []))
-        (inst,) = enumerate_instances(cfg, [rewrite("r", "skin", {"c": 1}, {})])
-        assert not is_jointly_applicable(cfg, [inst, inst])
+        result = step(cfg, [rewrite("r", "skin", {"c": 1}, {})], SplitMix64(0))
+        assert [(i.rule.id, k) for i, k in result.applied] == [("r", 1)]
 
     def test_mover_lock(self):
         cfg = build_configuration(
             ("root", {}, [("skin", {}, [("T", {"x": 1}, []), ("V", {"p": 1}, [])])]))
         rules = [endo("m1", "V", "T", {"p": 1}, {"p": 1}),
                  exo("m2", "T", "skin", {"x": 1}, {"x": 1})]
-        instances = enumerate_instances(cfg, rules)
-        assert len(instances) == 2
-        assert all(is_jointly_applicable(cfg, [i]) for i in instances)
-        assert not is_jointly_applicable(cfg, instances)
+        assert len(enumerate_instances(cfg, rules)) == 2
+        for seed in range(8):
+            result = step(cfg, rules, SplitMix64(seed))
+            assert len(result.applied) == 1 and result.applied[0][1] == 1
+            assert canonical_form(result.config) in oracle_successors(cfg, rules)
+
+
+class TestSelfCheck:
+    @staticmethod
+    def flat_state():
+        cfg = build_configuration(
+            ("skin", {"a": 1}, [("A", {}, [("B", {}, [])]), ("C", {}, [])]))
+        return engine._State(cfg)
+
+    def test_valid_state_has_no_violations(self):
+        assert engine._structural_violations(self.flat_state()) == []
+
+    def test_detached_cycle_reported(self):
+        state = self.flat_state()
+        # A (1) and B (2) become each other's child, cut off from the skin.
+        state.children[0].remove(1)
+        state.children[2].append(1)
+        violations = engine._structural_violations(state)
+        assert [v for v in violations if v.startswith("detached")] == [
+            "detached: membrane 1 is not reachable from the skin",
+            "detached: membrane 2 is not reachable from the skin"]
+
+    def test_membrane_under_two_parents_reported(self):
+        state = self.flat_state()
+        state.children[3].append(2)
+        violations = engine._structural_violations(state)
+        assert violations == ["shared-membrane: membrane id 2 reachable twice"]
+
+    def test_non_positive_count_reported(self):
+        state = self.flat_state()
+        state.contents[0]["a"] = 0
+        assert engine._structural_violations(state) == ["zero-count: membrane 0 stores a*0"]
+
+    def test_non_maximal_selection_reported(self):
+        cfg = build_configuration(("skin", {"c": 2}, []))
+        state = engine._State(cfg)
+        instances = engine._enumerate(state, [rewrite("r", "skin", {"c": 1}, {})])
+        unused = engine._Selection(state, limit=10)
+        with pytest.raises(SelfCheckViolation, match="not maximal"):
+            engine._check_step(state, instances, unused)
+
+    def test_disabled_self_check_runs_no_check(self, monkeypatch):
+        model = drain_model()
+        expected = run(model, EngineOptions(seed=2), max_steps=10)
+
+        def fail(*args):
+            raise AssertionError("self-check ran")
+
+        monkeypatch.setattr(engine, "_check_step", fail)
+        monkeypatch.setattr(engine, "_structural_violations", fail)
+        assert run(model, EngineOptions(seed=2, self_check=False), max_steps=10) == expected
+        with pytest.raises(AssertionError, match="self-check ran"):
+            run(model, EngineOptions(seed=2), max_steps=10)
 
 
 class TestStep:
@@ -186,6 +241,14 @@ class TestRun:
         rng = SplitMix64(0)
         again = step(trace.final, model.rules, rng)
         assert again.halted and again.config is trace.final
+
+    def test_run_builds_one_configuration(self, monkeypatch):
+        built = []
+        to_config = engine._State.config
+        monkeypatch.setattr(engine._State, "config",
+                            lambda state: built.append(1) or to_config(state))
+        trace = run(drain_model(), max_steps=10)
+        assert len(trace.steps) == 2 and len(built) == 1  # only Trace.final
 
     def test_seeds_can_pick_different_maximal_sets(self):
         model = parse_model(
