@@ -40,8 +40,6 @@ class RunConfig:
             raise ValueError("max-steps must be >= 0")
         if self.snapshot_every < 1:
             raise ValueError("snapshot-every must be >= 1")
-        if not 0 <= self.seed < (1 << 64):
-            raise ValueError("seed must be an unsigned 64-bit integer")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,12 +84,19 @@ def _write_trace_file(trace, model, path: str, snapshot_every: int) -> int:
     return EXIT_OK
 
 
+def _engine_error(exc: EngineError) -> int:
+    where = "" if exc.step is None else f"step {exc.step}: "
+    print(f"error: {where}{exc}", file=sys.stderr)
+    return EXIT_MODEL
+
+
 def _state_summary(state: dict[str, dict[str, int]]) -> str:
     return json.dumps(state, sort_keys=True, separators=(",", ":"))
 
 
 def cmd_run(config: RunConfig) -> int:
     """Run a model file and print a one-line summary."""
+    options = EngineOptions(seed=config.seed, self_check=config.self_check)
     try:
         data = _read(config.model_path)
     except OSError as exc:
@@ -103,12 +108,10 @@ def cmd_run(config: RunConfig) -> int:
         print(f"{config.model_path}:{exc.line}:{exc.column}: error: {exc.message}",
               file=sys.stderr)
         return EXIT_MODEL
-    options = EngineOptions(seed=config.seed, self_check=config.self_check)
     try:
         trace = run(model, options, config.max_steps)
     except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
+        return _engine_error(exc)
     if config.trace_path is not None:
         status = _write_trace_file(trace, model, config.trace_path, config.snapshot_every)
         if status != EXIT_OK:
@@ -127,6 +130,7 @@ def bone_step_bound(params: BoneParams) -> int:
 def cmd_bone(params: BoneParams, seed: int = 0, emit_model: str | None = None,
              trace_path: str | None = None) -> int:
     """Build the bone model, run it to halt, print the density CSV."""
+    options = EngineOptions(seed=seed)
     model = build_bone_model(params)
     if emit_model is not None:
         try:
@@ -136,10 +140,9 @@ def cmd_bone(params: BoneParams, seed: int = 0, emit_model: str | None = None,
             print(f"{emit_model}: error: {exc.strerror or exc}", file=sys.stderr)
             return EXIT_IO
     try:
-        trace = run(model, EngineOptions(seed=seed), max_steps=bone_step_bound(params))
+        trace = run(model, options, max_steps=bone_step_bound(params))
     except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
+        return _engine_error(exc)
     if trace_path is not None:
         status = _write_trace_file(trace, model, trace_path, 1)
         if status != EXIT_OK:

@@ -21,14 +21,37 @@ The mover-lock in (2) is what makes (3) well defined: because a membrane is
 in at most one structural role per step, the post-step parent assignment
 can be shown to be cycle-free.
 
+What a step costs
+-----------------
+A rule set is compiled once into a rule table: rules grouped by subject
+label, each with one *key symbol* that must be present for the rule to
+apply.  The key is a symbol the subject itself must hold (a consumed symbol
+of any form but ``send-in``, or a promoter symbol), the rarest such symbol:
+the one that the fewest of the label's rules consume, then promote.  Only
+a ``send-in`` rule without a promoter is keyed on the symbol it consumes
+from the parent.  Enumeration rejects a rule with that one dict lookup
+before it runs the full fit test.  In the carrier protocol the phase
+tokens ``p0..p13`` become the keys, so only the one to three rules of the
+current phase pass the lookup.  The table of the last rule set is cached,
+so the public per-step calls below reuse it rather than recompile.
+
 A run steps one flat, id-indexed state in place; immutable
 :class:`Configuration` values are built only where the API hands one out.
+The state keeps running per-label object totals: effect application
+updates them as it changes counts, and a step re-sorts the snapshot only of
+labels whose counts changed.  An unchanged label shares its snapshot dict
+with the previous step, so ``TraceStep.state`` is read-only.  Selection and
+the maximality rescan read flat per-candidate data computed at enumeration
+(source membrane, consumed items, lock pair) and copy a membrane's counts
+only when an instance first consumes from it.
+
 If no instance is applicable the step reports ``halted`` and leaves the
 state unchanged.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -63,7 +86,10 @@ __all__ = [
 
 
 class EngineError(RuntimeError):
-    pass
+    """A step could not be carried out.  ``step`` is the index of the
+    failing step when a run raised it, else ``None``."""
+
+    step: int | None = None
 
 
 class InstanceBoundExceeded(EngineError):
@@ -85,6 +111,8 @@ class EngineOptions:
     self_check: bool = True
 
     def __post_init__(self) -> None:
+        if not 0 <= self.seed < (1 << 64):
+            raise ValueError("seed must be an unsigned 64-bit integer")
         if self.max_instances_per_step < 1:
             raise ValueError("max_instances_per_step must be >= 1")
 
@@ -114,7 +142,9 @@ class TraceStep:
     index: int
     applied: tuple[AppliedRule, ...]
     halted: bool
-    # Post-step object totals aggregated per membrane label.
+    # Post-step object totals aggregated per membrane label.  Read-only:
+    # a label whose counts did not change shares its dict with the
+    # previous step.
     state: dict[str, dict[str, int]]
 
 
@@ -133,13 +163,86 @@ class Trace:
 
 
 # ---------------------------------------------------------------------------
+# The rule table a run compiles once
+
+class _Entry:
+    """One rule as the enumerator and effect application read it."""
+
+    __slots__ = ("index", "rule", "form", "host", "consumed", "produced", "promoter")
+
+    def __init__(self, index: int, rule: Rule):
+        self.index = index
+        self.rule = rule
+        self.form = rule.form
+        self.host = rule.host
+        self.consumed = tuple(sorted(rule.consumed._counts.items()))
+        self.produced = tuple(sorted(rule.produced._counts.items()))
+        self.promoter = (None if rule.promoter is None
+                         else tuple(sorted(rule.promoter._counts.items())))
+
+
+class _Table:
+    """A rule set grouped by subject label.  Each group is
+    ``(label, own, via_parent)``: lists of ``(key symbol, entry)`` pairs,
+    keyed in the subject and in its parent respectively."""
+
+    def __init__(self, rules: tuple[Rule, ...]):
+        by_label: dict[str, list[_Entry]] = {}
+        for index, rule in enumerate(rules):
+            by_label.setdefault(rule.subject, []).append(_Entry(index, rule))
+        self.groups: list[tuple[str, list[tuple[str, _Entry]], list[tuple[str, _Entry]]]] = []
+        for label, entries in by_label.items():
+            # Rarest first: a symbol that many of the label's rules consume
+            # is a shared stock and likely present, a phase token is not.
+            consumers = Counter(sym for e in entries for sym, _ in e.consumed)
+            promoters = Counter(sym for e in entries for sym, _ in e.promoter or ())
+
+            def rarity(sym: str) -> tuple[int, int, str]:
+                return consumers[sym], promoters[sym], sym
+
+            own: list[tuple[str, _Entry]] = []
+            via_parent: list[tuple[str, _Entry]] = []
+            for e in entries:
+                # Symbols the subject itself must hold; a send-in rule
+                # consumes from the parent.
+                symbols = [sym for sym, _ in e.promoter or ()]
+                if e.form is not RuleForm.SEND_IN:
+                    symbols += [sym for sym, _ in e.consumed]
+                if symbols:
+                    own.append((min(symbols, key=rarity), e))
+                else:
+                    via_parent.append((min([sym for sym, _ in e.consumed], key=rarity), e))
+            self.groups.append((label, own, via_parent))
+
+
+# The public per-step calls take a plain rule sequence, which cannot carry
+# its table, so the last table compiled is kept here with the rules it was
+# compiled from.  Equal rule sets give equal tables, so whichever caller
+# filled the slot, no result changes; two threads racing only compile twice.
+_compiled: tuple[tuple[Rule, ...], _Table] | None = None
+
+
+def _compile(rules: Sequence[Rule]) -> _Table:
+    """The rule table of *rules*; the last one compiled is reused."""
+    global _compiled
+    key = tuple(rules)
+    cached = _compiled
+    if cached is None or cached[0] != key:
+        cached = _compiled = (key, _Table(key))
+    return cached[1]
+
+
+# ---------------------------------------------------------------------------
 # The flat state a run steps in place
 
 class _State:
     """A membrane tree as id-indexed dicts; contents hold positive counts.
 
     Labels never change, so ``by_label`` (ids in increasing order) is built
-    once and stays valid for the whole run.
+    once and stays valid for the whole run.  ``totals`` holds the running
+    object totals per label, ``changed`` the labels whose totals changed
+    since the last snapshot, and ``snapshot`` the sorted totals last handed
+    out.
     """
 
     def __init__(self, config: Configuration):
@@ -148,15 +251,22 @@ class _State:
         self.parent: dict[int, int | None] = {self.skin: None}
         self.children: dict[int, list[int]] = {}
         self.contents: dict[int, dict[str, int]] = {}
+        self.totals: dict[str, dict[str, int]] = {}
         by_label: dict[str, list[int]] = {}
         for m in iter_membranes(config.skin):
+            counts = m.contents._counts
             self.labels[m.id] = m.label
             self.children[m.id] = [c.id for c in m.children]
-            self.contents[m.id] = dict(m.contents.items())
+            self.contents[m.id] = dict(counts)
             for c in m.children:
                 self.parent[c.id] = m.id
             by_label.setdefault(m.label, []).append(m.id)
+            total = self.totals.setdefault(m.label, {})
+            for sym, n in counts.items():
+                total[sym] = total.get(sym, 0) + n
         self.by_label = {label: sorted(ids) for label, ids in by_label.items()}
+        self.changed: set[str] = set(self.by_label)
+        self.snapshot: dict[str, dict[str, int]] = dict.fromkeys(self.by_label)
 
     def config(self) -> Configuration:
         def build(mid: int) -> Membrane:
@@ -166,48 +276,68 @@ class _State:
         return Configuration(build(self.skin))
 
 
-def _fits(counts: dict[str, int], need: Multiset) -> bool:
-    # Hot loops read the multiset's dict directly; Multiset.items() sorts.
-    return all(counts.get(sym, 0) >= n for sym, n in need._counts.items())
+def _fits(counts: dict[str, int], need: tuple[tuple[str, int], ...]) -> bool:
+    return all(counts.get(sym, 0) >= n for sym, n in need)
 
 
 # ---------------------------------------------------------------------------
 # Instance enumeration
+#
+# A candidate is a tuple
+#     (rule index, subject id, host id, parent id, source id, consumed, locks, entry)
+# where the source is the membrane the consumption is charged to and
+# ``locks`` is the (subject, host) pair of an endo/exo move, else None.
+# Tuples sort by rule index, then subject id, then host id, and no two
+# candidates share those three.
 
-def _enumerate(state: _State, rules: Sequence[Rule]) -> list[RuleInstance]:
-    """Applicable instances in rule order, then subject id, then host id."""
+def _enumerate(state: _State, table: _Table) -> list[tuple]:
+    """Applicable candidates in rule order, then subject id, then host id."""
     labels, parent, contents = state.labels, state.parent, state.contents
-    out: list[RuleInstance] = []
-    for rule in rules:
-        form, consumed = rule.form, rule.consumed
-        for sid in state.by_label.get(rule.subject, ()):
+    out: list[tuple] = []
+    for label, own, via_parent in table.groups:
+        for sid in state.by_label.get(label, ()):
             here = contents[sid]
-            if rule.promoter is not None and not _fits(here, rule.promoter):
-                continue
             pid = parent[sid]
-            if form is RuleForm.REWRITE:
-                if _fits(here, consumed):
-                    out.append(RuleInstance(rule, sid, parent_id=pid))
-            elif pid is None:
-                continue
-            elif form is RuleForm.ENDO:
-                if _fits(here, consumed):
-                    for hid in sorted(state.children[pid]):
-                        if hid != sid and labels[hid] == rule.host:
-                            out.append(RuleInstance(rule, sid, host_id=hid, parent_id=pid))
-            elif form is RuleForm.EXO:
-                # The subject leaves its parent and becomes the parent's
-                # sibling; the root has no siblings, so exo out of the skin
-                # is never applicable.
-                if (labels[pid] == rule.host and parent[pid] is not None
-                        and _fits(here, consumed)):
-                    out.append(RuleInstance(rule, sid, host_id=pid, parent_id=pid))
-            elif form is RuleForm.SEND_IN:
-                if _fits(contents[pid], consumed):
-                    out.append(RuleInstance(rule, sid, parent_id=pid))
-            elif _fits(here, consumed):  # SEND_OUT
-                out.append(RuleInstance(rule, sid, parent_id=pid))
+            for key, e in own:
+                if key not in here:
+                    continue
+                if e.promoter is not None and not _fits(here, e.promoter):
+                    continue
+                form, consumed = e.form, e.consumed
+                if form is RuleForm.REWRITE:
+                    if _fits(here, consumed):
+                        out.append((e.index, sid, None, pid, sid, consumed, None, e))
+                elif pid is None:
+                    continue
+                elif form is RuleForm.ENDO:
+                    if _fits(here, consumed):
+                        for hid in sorted(state.children[pid]):
+                            if hid != sid and labels[hid] == e.host:
+                                out.append((e.index, sid, hid, pid, sid, consumed, (sid, hid), e))
+                elif form is RuleForm.EXO:
+                    # The subject leaves its parent and becomes the parent's
+                    # sibling; the root has no siblings, so exo out of the
+                    # skin is never applicable.
+                    if (labels[pid] == e.host and parent[pid] is not None
+                            and _fits(here, consumed)):
+                        out.append((e.index, sid, pid, pid, sid, consumed, (sid, pid), e))
+                elif form is RuleForm.SEND_IN:
+                    if _fits(contents[pid], consumed):
+                        out.append((e.index, sid, None, pid, pid, consumed, None, e))
+                elif _fits(here, consumed):  # SEND_OUT
+                    out.append((e.index, sid, None, pid, sid, consumed, None, e))
+            if via_parent and pid is not None:
+                there = contents[pid]
+                for key, e in via_parent:  # send-in rules without a promoter
+                    if key in there and _fits(there, e.consumed):
+                        out.append((e.index, sid, None, pid, pid, e.consumed, None, e))
+    out.sort()
     return out
+
+
+def _instance(cand: tuple) -> RuleInstance:
+    _, sid, hid, pid, _, _, _, e = cand
+    return RuleInstance(e.rule, sid, host_id=hid, parent_id=pid)
 
 
 def enumerate_instances(config: Configuration, rules: Sequence[Rule]) -> list[RuleInstance]:
@@ -215,54 +345,67 @@ def enumerate_instances(config: Configuration, rules: Sequence[Rule]) -> list[Ru
 
     Order is deterministic: rule order, then subject id, then host id.
     """
-    return _enumerate(_State(config), rules)
+    return [_instance(c) for c in _enumerate(_State(config), _compile(rules))]
 
 
 # ---------------------------------------------------------------------------
 # Maximal selection
 
 class _Selection:
-    """Mutable accounting while building a maximal instance multiset."""
+    """Mutable accounting while building a maximal instance multiset.
+
+    ``residual`` holds a copy of a membrane's counts from the first
+    consumption on; until then the pre-step contents are read directly,
+    so the state must not change while the selection is in use.
+    """
 
     def __init__(self, state: _State, limit: int):
-        self.residual = {mid: dict(counts) for mid, counts in state.contents.items()}
+        self.contents = state.contents
+        self.residual: dict[int, dict[str, int]] = {}
         self.locked: set[int] = set()
         self.total = 0
         self.limit = limit
 
-    def addable(self, inst: RuleInstance) -> int:
-        """How many more copies of *inst* fit right now."""
-        if inst.rule.moves_membrane and not self.locked.isdisjoint(inst.structural_ids):
+    def addable(self, cand: tuple) -> int:
+        """How many more copies of *cand* fit right now."""
+        source, consumed, locks = cand[4], cand[5], cand[6]
+        if locks is not None and (locks[0] in self.locked or locks[1] in self.locked):
             return 0
-        left = self.residual[inst.consumes_from]
-        k = min(left.get(sym, 0) // n for sym, n in inst.rule.consumed._counts.items())
-        return min(k, 1) if inst.rule.moves_membrane else k
+        left = self.residual.get(source)
+        if left is None:
+            left = self.contents[source]
+        k = min(left.get(sym, 0) // n for sym, n in consumed)
+        return min(k, 1) if locks is not None else k
 
-    def take(self, inst: RuleInstance, k: int) -> None:
+    def take(self, cand: tuple, k: int) -> None:
         self.total += k
         if self.total > self.limit:
             raise InstanceBoundExceeded(
                 f"step would apply more than {self.limit} instances; runaway model?")
-        left = self.residual[inst.consumes_from]
-        for sym, n in inst.rule.consumed._counts.items():
+        source, consumed, locks = cand[4], cand[5], cand[6]
+        left = self.residual.get(source)
+        if left is None:
+            left = self.residual[source] = dict(self.contents[source])
+        for sym, n in consumed:
             left[sym] -= k * n
-        self.locked.update(inst.structural_ids)
+        if locks is not None:
+            self.locked.update(locks)
 
 
-def _select_maximal(state: _State, instances: list[RuleInstance], rng: SplitMix64,
+def _select_maximal(state: _State, candidates: list[tuple], rng: SplitMix64,
                     options: EngineOptions) -> tuple[_Selection, list[int]]:
-    """Multiplicity per instance of a maximal multiset, chosen greedily in
+    """Multiplicity per candidate of a maximal multiset, chosen greedily in
     seeded-shuffle order."""
-    order = list(range(len(instances)))
+    order = list(range(len(candidates)))
     rng.shuffle(order)
     sel = _Selection(state, options.max_instances_per_step)
-    counts = [0] * len(instances)
+    counts = [0] * len(candidates)
     # One pass is maximal: residuals only shrink and locks only grow, so an
     # instance that does not fit when visited never fits later.
     for i in order:
-        k = sel.addable(instances[i])
+        k = sel.addable(candidates[i])
         if k > 0:
-            sel.take(instances[i], k)
+            sel.take(candidates[i], k)
             counts[i] = k
     return sel, counts
 
@@ -270,33 +413,48 @@ def _select_maximal(state: _State, instances: list[RuleInstance], rng: SplitMix6
 # ---------------------------------------------------------------------------
 # Effect application and the self-check
 
-def _apply(state: _State, applied: Sequence[tuple[RuleInstance, int]]) -> None:
+def _apply(state: _State, applied: Sequence[tuple[tuple, int]]) -> None:
     contents, parent, children = state.contents, state.parent, state.children
+    labels, totals, changed = state.labels, state.totals, state.changed
     moves: list[tuple[int, int]] = []
-    for inst, k in applied:
-        rule = inst.rule
-        src = contents[inst.consumes_from]
-        for sym, n in rule.consumed.items():
-            left = src.get(sym, 0) - k * n
+    for (_, sid, hid, pid, source, consumed, locks, e), k in applied:
+        src = contents[source]
+        label = labels[source]
+        total = totals[label]
+        for sym, n in consumed:
+            kn = k * n
+            left = src.get(sym, 0) - kn
             if left < 0:
                 raise EngineError(
-                    f"internal underflow applying {rule.id!r}: joint check missed it")
+                    f"internal underflow applying {e.rule.id!r}: joint check missed it")
             if left:
                 src[sym] = left
             else:
                 del src[sym]
-        dst = contents[inst.produces_into]
-        for sym, n in rule.produced.items():
-            total = dst.get(sym, 0) + k * n
-            if total > MAX_COUNT:
-                raise CountOverflow(
-                    f"rule {rule.id!r} would raise the count of {sym!r} above {MAX_COUNT}")
-            dst[sym] = total
-        if rule.moves_membrane:
+            left = total[sym] - kn
+            if left:
+                total[sym] = left
+            else:
+                del total[sym]
+        changed.add(label)
+        if e.produced:
+            sink = pid if e.form is RuleForm.SEND_OUT else sid
+            dst = contents[sink]
+            label = labels[sink]
+            total = totals[label]
+            for sym, n in e.produced:
+                kn = k * n
+                count = dst.get(sym, 0) + kn
+                if count > MAX_COUNT:
+                    raise CountOverflow(
+                        f"rule {e.rule.id!r} would raise the count of {sym!r} above {MAX_COUNT}")
+                dst[sym] = count
+                total[sym] = total.get(sym, 0) + kn
+            changed.add(label)
+        if locks is not None:
             # EXO leaves the host for the host's parent; every target is read
             # before any move below changes a parent.
-            target = inst.host_id if rule.form is RuleForm.ENDO else parent[inst.host_id]
-            moves.append((inst.subject_id, target))
+            moves.append((sid, hid if e.form is RuleForm.ENDO else parent[hid]))
 
     for child, new_parent in moves:
         children[parent[child]].remove(child)
@@ -316,20 +474,26 @@ def _structural_violations(state: _State) -> list[str]:
             violations.append(f"shared-membrane: membrane id {mid} reachable twice")
             continue
         seen.add(mid)
-        for sym, n in state.contents[mid].items():
-            if n <= 0:
-                violations.append(f"zero-count: membrane {mid} stores {sym}*{n}")
+        counts = state.contents[mid]
+        if counts and min(counts.values()) <= 0:
+            violations.extend(f"zero-count: membrane {mid} stores {sym}*{n}"
+                              for sym, n in counts.items() if n <= 0)
         stack.extend(state.children[mid])
     for mid in sorted(state.labels.keys() - seen):
         violations.append(f"detached: membrane {mid} is not reachable from the skin")
     return violations
 
 
-def _check_step(state: _State, instances: list[RuleInstance], sel: _Selection) -> None:
-    """The self-check: one maximality rescan and one structural check."""
-    leftover = sum(1 for inst in instances if sel.addable(inst) > 0)
+def _check_maximal(candidates: list[tuple], sel: _Selection) -> None:
+    """The self-check's maximality rescan; runs before the effects are
+    applied, while the selection still reads pre-step contents."""
+    leftover = sum(1 for cand in candidates if sel.addable(cand) > 0)
     if leftover:
         raise SelfCheckViolation(f"step is not maximal: {leftover} instances still addable")
+
+
+def _check_structure(state: _State) -> None:
+    """The self-check's structural walk of the post-step state."""
     violations = _structural_violations(state)
     if violations:
         raise SelfCheckViolation(f"post-step configuration invalid: {violations}")
@@ -338,22 +502,24 @@ def _check_step(state: _State, instances: list[RuleInstance], sel: _Selection) -
 # ---------------------------------------------------------------------------
 # The step relation and runs
 
-def _step(state: _State, rules: Sequence[Rule], rng: SplitMix64,
-          options: EngineOptions) -> tuple[tuple[RuleInstance, int], ...]:
-    """Advance *state* by one step in place; returns the applied instances
+def _step(state: _State, table: _Table, rng: SplitMix64,
+          options: EngineOptions) -> list[tuple[tuple, int]]:
+    """Advance *state* by one step in place; returns the applied candidates
     with their multiplicities, empty when the step halts."""
-    instances = _enumerate(state, rules)
-    if len(instances) > options.max_instances_per_step:
+    candidates = _enumerate(state, table)
+    if len(candidates) > options.max_instances_per_step:
         raise InstanceBoundExceeded(
-            f"{len(instances)} candidate instances exceed the bound "
+            f"{len(candidates)} candidate instances exceed the bound "
             f"{options.max_instances_per_step}")
-    if not instances:
-        return ()
-    sel, counts = _select_maximal(state, instances, rng, options)
-    applied = tuple((inst, k) for inst, k in zip(instances, counts) if k)
+    if not candidates:
+        return []
+    sel, counts = _select_maximal(state, candidates, rng, options)
+    if options.self_check:
+        _check_maximal(candidates, sel)
+    applied = [(cand, k) for cand, k in zip(candidates, counts) if k]
     _apply(state, applied)
     if options.self_check:
-        _check_step(state, instances, sel)
+        _check_structure(state)
     return applied
 
 
@@ -361,32 +527,25 @@ def step(config: Configuration, rules: Sequence[Rule], rng: SplitMix64,
          options: EngineOptions = EngineOptions()) -> StepResult:
     """One maximally parallel step; halts when nothing is applicable."""
     state = _State(config)
-    applied = _step(state, rules, rng, options)
+    applied = _step(state, _compile(rules), rng, options)
     if not applied:
         return StepResult(config, (), True)
-    return StepResult(state.config(), applied, False)
+    return StepResult(state.config(), tuple((_instance(c), k) for c, k in applied), False)
 
 
 def _totals(state: _State) -> dict[str, dict[str, int]]:
-    totals: dict[str, dict[str, int]] = {}
-    for label, ids in state.by_label.items():
-        agg: dict[str, int] = {}
-        for mid in ids:
-            for sym, n in state.contents[mid].items():
-                agg[sym] = agg.get(sym, 0) + n
+    """The per-label snapshot; only labels that changed are re-sorted."""
+    snapshot = state.snapshot
+    for label in state.changed:
         # Sorted, so the order does not depend on which rules touched a count.
-        totals[label] = dict(sorted(agg.items()))
-    return totals
+        snapshot[label] = dict(sorted(state.totals[label].items()))
+    state.changed.clear()
+    return dict(snapshot)
 
 
 def label_totals(config: Configuration) -> dict[str, dict[str, int]]:
     """Object counts of the whole tree, aggregated per membrane label."""
     return _totals(_State(config))
-
-
-def _summarize(applied: tuple[tuple[RuleInstance, int], ...]) -> tuple[AppliedRule, ...]:
-    return tuple(AppliedRule(inst.rule.id, inst.subject_id, inst.host_id, k)
-                 for inst, k in applied)
 
 
 def run(model: Model, options: EngineOptions = EngineOptions(),
@@ -395,16 +554,24 @@ def run(model: Model, options: EngineOptions = EngineOptions(),
 
     The generator is seeded from ``options.seed`` and threaded through all
     steps, so equal inputs give equal traces.  The final, empty ``halted``
-    step is recorded in the trace when the run reaches it.
+    step is recorded in the trace when the run reaches it.  An
+    :class:`EngineError` raised by a step carries that step's index.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     rng = SplitMix64(options.seed)
     state = _State(model.config)
+    table = _compile(model.rules)
     steps: list[TraceStep] = []
     for index in range(max_steps):
-        applied = _step(state, model.rules, rng, options)
-        steps.append(TraceStep(index, _summarize(applied), not applied, _totals(state)))
+        try:
+            applied = _step(state, table, rng, options)
+        except EngineError as exc:
+            exc.step = index
+            raise
+        summary = tuple(AppliedRule(e.rule.id, sid, hid, k)
+                        for (_, sid, hid, _, _, _, _, e), k in applied)
+        steps.append(TraceStep(index, summary, not applied, _totals(state)))
         if not applied:
             break
     return Trace(options.seed, RNG_ALGORITHM, tuple(steps), state.config())

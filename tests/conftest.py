@@ -86,3 +86,70 @@ def random_system(seed: int) -> tuple[Configuration, list[Rule]]:
         rules.append(Rule(f"r{r}", form, rule_label(), consumed, produced,
                           host=host, promoter=promoter))
     return config, rules
+
+
+DEEP_LABEL_POOL = ("L0", "L1", "L2")
+
+
+def random_deep_system(seed: int) -> tuple[Configuration, list[Rule]]:
+    """A pseudo-random deeper system: 4 to 6 membranes, a chain at least
+    three membranes deep below the skin, labels below the skin drawn from
+    three (so most systems repeat one), and 3 to 6 rules of which about
+    half move a membrane.
+
+    Each rule is anchored on a concrete membrane: it consumes a symbol
+    that membrane (or, for ``send-in``, its parent) holds, endo hosts are
+    labels of its siblings and exo hosts the label of its parent.  Move
+    rules give back what they consume, so moves at different depths keep
+    firing in the same step for several steps.
+    """
+    rng = SplitMix64(seed)
+
+    def pick(pool):
+        return pool[rng.below(len(pool))]
+
+    n_membranes = 4 + rng.below(3)
+    labels = ["skin"] + [pick(DEEP_LABEL_POOL) for _ in range(n_membranes - 1)]
+    # Membranes 0..3 form a chain; each later one hangs under any earlier one.
+    parents = [None, 0, 1, 2] + [rng.below(i) for i in range(4, n_membranes)]
+    children: dict[int, list[int]] = {i: [] for i in range(n_membranes)}
+    for i in range(1, n_membranes):
+        children[parents[i]].append(i)
+
+    symbols = SYMBOL_POOL[:4]
+    contents = []
+    for _ in range(n_membranes):
+        picks: dict[str, int] = {}
+        for _ in range(1 + rng.below(2)):
+            picks[pick(symbols)] = 1 + rng.below(2)
+        contents.append(picks)
+
+    def build(i: int) -> Membrane:
+        return Membrane(i, labels[i], Multiset(contents[i]),
+                        tuple(build(c) for c in children[i]))
+
+    config = Configuration(build(0))
+
+    forms = (RuleForm.ENDO, RuleForm.EXO, RuleForm.ENDO, RuleForm.EXO,
+             RuleForm.REWRITE, RuleForm.SEND_IN, RuleForm.SEND_OUT)
+    rules: list[Rule] = []
+    for r in range(3 + rng.below(4)):
+        form = pick(forms)
+        anchor = 1 + rng.below(n_membranes - 1)
+        parent = parents[anchor]
+        source = parent if form is RuleForm.SEND_IN else anchor
+        consumed = Multiset({pick(sorted(contents[source])): 1})
+        host = None
+        if form is RuleForm.ENDO:
+            siblings = [c for c in children[parent] if c != anchor]
+            host = labels[pick(siblings)] if siblings else pick(DEEP_LABEL_POOL)
+        elif form is RuleForm.EXO:
+            host = labels[parent]
+        if host is not None:
+            produced = consumed
+        else:
+            produced = Multiset({pick(symbols): 1} if rng.below(3) else {})
+        promoter = Multiset({pick(symbols): 1}) if rng.below(5) == 0 else None
+        rules.append(Rule(f"r{r}", form, labels[anchor], consumed, produced,
+                          host=host, promoter=promoter))
+    return config, rules

@@ -94,8 +94,23 @@ class TestRun:
         assert main(["run", str(model)]) == 1
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err.count("\n") == 1 and out.err.startswith("error: ")
+        assert out.err.count("\n") == 1 and out.err.startswith("error: step 0: ")
         assert "'g'" in out.err and "'b'" in out.err
+
+    def test_overflow_names_a_later_step(self, tmp_path, capsys):
+        model = tmp_path / "late.mm"
+        model.write_text("[s: a*2]\nrule g: in s: a -> b\n"
+                         "rule h: in s: b -> c*5000000000000000000\n")
+        assert main(["run", str(model)]) == 1
+        out = capsys.readouterr()
+        assert out.err.count("\n") == 1 and out.err.startswith("error: step 1: ")
+
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    def test_seed_outside_unsigned_64_bits_is_one_error_line(self, seed, capsys):
+        assert main(["run", str(BONE), "--seed", seed]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: seed must be an unsigned 64-bit integer\n"
 
 
 class TestBone:
@@ -133,6 +148,15 @@ class TestBone:
         assert main(["bone", "--oc", "1", "--ob", "1", "--trace", str(trace)]) == 0
         capsys.readouterr()
         assert len(trace.read_text().splitlines()) == 16  # header + 15 steps
+
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    def test_seed_outside_unsigned_64_bits_is_one_error_line(self, seed, tmp_path, capsys):
+        trace = tmp_path / "bone.jsonl"
+        assert main(["bone", "--seed", seed, "--trace", str(trace)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: seed must be an unsigned 64-bit integer\n"
+        assert not trace.exists()
 
     def test_bad_flag_value_is_domain_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

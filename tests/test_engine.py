@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from mmsim import engine
+from mmsim import engine, oracle
 from mmsim.core import (
     build_configuration,
     endo,
@@ -28,11 +28,26 @@ from mmsim.oracle import canonical_form, oracle_successors
 from mmsim.parser import Model, parse_model
 from mmsim.rng import SplitMix64
 
-from conftest import random_system
+from conftest import random_deep_system, random_system
 
 
 def drain_model() -> Model:
     return parse_model("[skin: c*10 [V: ]] rule load: send-in V: c -> cl")
+
+
+def random_states(steps: int = 3):
+    """``(config, rules)`` for both random-system tiers, at the start and
+    after each of up to *steps* chained steps."""
+    for make in (random_system, random_deep_system):
+        for seed in range(200):
+            config, rules = make(seed)
+            rng = SplitMix64(seed)
+            for _ in range(steps + 1):
+                yield config, rules
+                result = step(config, rules, rng)
+                if result.halted:
+                    break
+                config = result.config
 
 
 class TestEnumerate:
@@ -73,6 +88,49 @@ class TestEnumerate:
         instances = enumerate_instances(cfg, rules)
         assert [(i.rule.id, i.subject_id) for i in instances] == [
             ("r2", 1), ("r2", 2), ("r1", 0)]
+
+
+    def test_matches_oracle_bindings_on_random_systems(self):
+        checked = 0
+        for config, rules in random_states():
+            bindings = oracle._bindings(oracle._Net(config), rules)
+            instances = enumerate_instances(config, rules)
+            got = [(i.rule.id, i.subject_id, i.host_id) for i in instances]
+            assert len(set(got)) == len(got)
+            assert set(got) == {(b.rule.id, b.subject, b.host) for b in bindings}
+            checked += 1
+        assert checked > 600
+
+    def test_rule_table_compiled_once_per_rule_set(self, monkeypatch):
+        compiled = []
+        table = engine._Table
+        monkeypatch.setattr(engine, "_Table", lambda rules: compiled.append(1) or table(rules))
+        model = drain_model()
+        for _ in range(3):
+            enumerate_instances(model.config, model.rules)
+            step(model.config, model.rules, SplitMix64(0))
+        assert len(compiled) == 1
+        rules = list(model.rules)
+        rules.append(rewrite("burn", "V", {"cl": 1}, {}))
+        enumerate_instances(model.config, rules)
+        assert len(compiled) == 2
+        # A list changed in place is a new rule set, not a stale table.
+        rules.pop()
+        assert len(enumerate_instances(model.config, rules)) == 1
+        assert len(compiled) == 3
+
+    def test_key_symbol_is_subject_side_unless_plain_send_in(self):
+        table = engine._Table((
+            send_in("plain", "V", {"c": 1}, {}),
+            send_in("gated", "V", {"c": 1}, {}, promoter={"go": 1}),
+            rewrite("restart", "V", {"cyc": 1, "p13": 1}, {}),
+            rewrite("depart", "V", {"cyc": 1, "p0": 1}, {}),
+        ))
+        [(label, own, via_parent)] = table.groups
+        assert label == "V"
+        assert [(key, e.rule.id) for key, e in own] == [
+            ("go", "gated"), ("p13", "restart"), ("p0", "depart")]
+        assert [(key, e.rule.id) for key, e in via_parent] == [("c", "plain")]
 
 
 class TestJointApplicability:
@@ -132,10 +190,10 @@ class TestSelfCheck:
     def test_non_maximal_selection_reported(self):
         cfg = build_configuration(("skin", {"c": 2}, []))
         state = engine._State(cfg)
-        instances = engine._enumerate(state, [rewrite("r", "skin", {"c": 1}, {})])
+        candidates = engine._enumerate(state, engine._compile([rewrite("r", "skin", {"c": 1}, {})]))
         unused = engine._Selection(state, limit=10)
         with pytest.raises(SelfCheckViolation, match="not maximal"):
-            engine._check_step(state, instances, unused)
+            engine._check_maximal(candidates, unused)
 
     def test_disabled_self_check_runs_no_check(self, monkeypatch):
         model = drain_model()
@@ -144,7 +202,8 @@ class TestSelfCheck:
         def fail(*args):
             raise AssertionError("self-check ran")
 
-        monkeypatch.setattr(engine, "_check_step", fail)
+        monkeypatch.setattr(engine, "_check_maximal", fail)
+        monkeypatch.setattr(engine, "_check_structure", fail)
         monkeypatch.setattr(engine, "_structural_violations", fail)
         assert run(model, EngineOptions(seed=2, self_check=False), max_steps=10) == expected
         with pytest.raises(AssertionError, match="self-check ran"):
@@ -250,9 +309,64 @@ class TestRun:
         trace = run(drain_model(), max_steps=10)
         assert len(trace.steps) == 2 and len(built) == 1  # only Trace.final
 
+    @staticmethod
+    def assert_run_is_chained_steps(model: Model, seed: int, max_steps: int) -> None:
+        options = EngineOptions(seed=seed)
+        trace = run(model, options, max_steps)
+        config, rng = model.config, SplitMix64(seed)
+        for recorded in trace.steps:
+            result = step(config, model.rules, rng, options)
+            applied = tuple(engine.AppliedRule(i.rule.id, i.subject_id, i.host_id, k)
+                            for i, k in result.applied)
+            assert recorded.applied == applied
+            assert recorded.halted == result.halted
+            assert recorded.state == label_totals(result.config)
+            config = result.config
+        assert trace.final == config
+
+    def test_run_equals_chained_steps_on_random_systems(self):
+        for make in (random_system, random_deep_system):
+            for seed in range(200):
+                config, rules = make(seed)
+                self.assert_run_is_chained_steps(Model(config, tuple(rules)), seed, 6)
+
+    def test_run_equals_chained_steps_on_corpus(self, corpus_valid):
+        assert corpus_valid
+        for path in corpus_valid:
+            model = parse_model(path.read_bytes())
+            for seed in (0, 3, 7):
+                self.assert_run_is_chained_steps(model, seed, 200)
+
+    def test_failure_carries_step_index(self):
+        model = parse_model("[skin: a] rule g: in skin: a -> b*9 rule h: in skin: b -> c")
+        options = EngineOptions(max_instances_per_step=5)
+        with pytest.raises(InstanceBoundExceeded) as failure:
+            run(model, options)
+        assert failure.value.step == 1
+        with pytest.raises(InstanceBoundExceeded) as failure:
+            step(run(model, max_steps=1).final, model.rules, SplitMix64(0), options)
+        assert failure.value.step is None
+
+    def test_unchanged_labels_share_snapshots(self):
+        model = parse_model("[skin: a*3 [V: x] [W: y]] rule burn: in skin: a -> b")
+        first, second = run(model, max_steps=2).steps
+        assert first.state["V"] is second.state["V"]
+        assert first.state["skin"] == {"b": 3} and second.state["skin"] == {"b": 3}
+
     def test_seeds_can_pick_different_maximal_sets(self):
         model = parse_model(
             "[skin: a] rule r1: in skin: a -> b rule r2: in skin: a -> c")
         outcomes = {run(model, EngineOptions(seed=s), max_steps=3).steps[0].state["skin"].popitem()[0]
                     for s in range(16)}
         assert outcomes == {"b", "c"}
+
+
+class TestOptions:
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_must_be_unsigned_64_bit(self, seed):
+        with pytest.raises(ValueError, match="unsigned 64-bit"):
+            EngineOptions(seed=seed)
+
+    def test_seed_range_ends_are_accepted(self):
+        assert EngineOptions(seed=0).seed == 0
+        assert EngineOptions(seed=(1 << 64) - 1).seed == (1 << 64) - 1

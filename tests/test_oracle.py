@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
-from mmsim.core import build_configuration, rewrite, send_in
+from mmsim.core import RuleForm, build_configuration, rewrite, send_in
 from mmsim.engine import step
 from mmsim.oracle import OracleBoundExceeded, canonical_form, oracle_successors
 from mmsim.rng import SplitMix64
 
-from conftest import random_system
+from conftest import random_deep_system, random_system
 
 
 def test_single_enabled_instance_single_successor():
@@ -71,3 +73,28 @@ def test_engine_step_is_oracle_member_on_random_systems():
         if checked >= 150:
             break
     assert checked >= 150
+
+
+def test_engine_step_is_oracle_member_on_deep_random_systems():
+    """The deeper tier: 4-6 membranes, depth >= 3, repeated labels.  Each
+    system is followed for up to five steps under a raised oracle bound
+    and a time box, and some steps must move membranes by endo and exo at
+    once."""
+    deadline = time.monotonic() + 5.0
+    checked = both_moves = 0
+    for seed in range(600):
+        if time.monotonic() > deadline:
+            break
+        config, rules = random_deep_system(seed)
+        rng = SplitMix64(seed)
+        for _ in range(5):
+            successors = oracle_successors(config, rules, bound=256)
+            result = step(config, rules, rng)
+            assert canonical_form(result.config) in successors, f"seed {seed}"
+            checked += 1
+            forms = {inst.rule.form for inst, _ in result.applied}
+            both_moves += {RuleForm.ENDO, RuleForm.EXO} <= forms
+            if result.halted:
+                break
+            config = result.config
+    assert checked >= 300 and both_moves >= 3
