@@ -40,6 +40,7 @@ from .engine import (
     Trace,
     TraceStep,
     enumerate_instances,
+    iter_steps,
     label_totals,
     run,
     step,
@@ -49,6 +50,7 @@ from .parser import Model, ParseError, lint, parse_model, rule_text, serialize_m
 from .coupling import CouplingSpec, carrier_cycle_length, generate_carrier_protocol
 from .bone import (
     BoneParams,
+    DensitySampler,
     build_bone_model,
     decode_density,
     density_series,
@@ -58,6 +60,6 @@ from .bone import (
     unit_spec,
 )
 from .rng import RNG_ALGORITHM, SplitMix64
-from .tracefile import dump_trace, model_hash, write_trace
+from .tracefile import dump_trace, model_hash, trace_lines, write_trace
 
 __version__ = "0.1.0"

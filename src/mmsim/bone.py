@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .core import Configuration, Membrane, Multiset, Rule, rewrite
 from .coupling import CouplingSpec, generate_carrier_protocol
-from .engine import Trace
+from .engine import Trace, TraceStep
 from .parser import Model
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "micro_rules",
     "build_bone_model",
     "unit_spec",
+    "DensitySampler",
     "density_series",
     "transit_total",
     "OSTEOCLAST",
@@ -169,38 +171,65 @@ def build_bone_model(params: BoneParams) -> Model:
     return Model(Configuration(skin), tuple(rules), name="bone")
 
 
-def density_series(trace: Trace, unit: int, capacity: int) -> list[tuple[int, float]]:
-    """Per-cycle tissue density of one unit, sampled at each deposit step.
+class DensitySampler:
+    """Per-cycle tissue densities of several units, read from a stream of
+    trace steps in one pass.
 
     A cycle completes at the step where the carrier sits in its final
     phase and the returned cargo (if any) lands back in the tissue; the
-    sample is the tissue's payload count right after that step.  Runs cut
-    off by a step bound yield samples only for the cycles they completed.
+    sample is the tissue's payload count right after that step.  Feed the
+    steps of a run in order to :meth:`add`; ``series[unit]`` then holds
+    ``(cycle, density)`` for every cycle completed so far.
     """
-    if not trace.steps:
-        return []
-    spec = unit_spec(unit, 0)
-    tissue, carrier = spec.macro_label, spec.carrier_label
-    if tissue not in trace.steps[0].state:
-        raise ValueError(f"unit {unit} out of range for this trace")
-    deposit_id = spec.rule_id("deposit")
-    restart_id = spec.rule_id("restart")
-    final_phase = spec.phase_symbols[13]
 
-    series: list[tuple[int, float]] = []
-    sampled_prev = False
+    def __init__(self, units: Iterable[int], capacity: int):
+        self.capacity = capacity
+        self.series: dict[int, list[tuple[int, float]]] = {}
+        self._specs: dict[int, CouplingSpec] = {}
+        # The rules that land a unit's cargo in its tissue, by rule id.
+        self._samples: dict[str, int] = {}
+        self._started = False
+        self._taken: set[int] = set()  # the units the last step sampled
+        for unit in units:
+            spec = self._specs[unit] = unit_spec(unit, 0)
+            self.series[unit] = []
+            self._samples[spec.rule_id("deposit")] = unit
+            self._samples[spec.rule_id("restart")] = unit
+
+    def add(self, step: TraceStep) -> None:
+        """Read the next step of the run."""
+        state = step.state
+        if not self._started:
+            for unit, spec in self._specs.items():
+                if spec.macro_label not in state:
+                    raise ValueError(f"unit {unit} out of range for this trace")
+            self._started = True
+        samples = self._samples
+        taken = {samples[a.rule] for a in step.applied if a.rule in samples}
+        if step.halted:
+            # A last cycle with nothing to deposit fires no rule at all; the
+            # parked carrier phase identifies it.
+            for unit, spec in self._specs.items():
+                if (unit not in self._taken
+                        and state.get(spec.carrier_label, {}).get(spec.phase_symbols[13], 0) > 0):
+                    taken.add(unit)
+        for unit in taken:
+            spec = self._specs[unit]
+            tokens = state.get(spec.macro_label, {}).get(spec.payload_symbol, 0)
+            series = self.series[unit]
+            series.append((len(series) + 1, decode_density(tokens, self.capacity)))
+        self._taken = taken
+
+
+def density_series(trace: Trace, unit: int, capacity: int) -> list[tuple[int, float]]:
+    """Per-cycle tissue density of one unit, sampled at each deposit step
+    (see :class:`DensitySampler`).  Runs cut off by a step bound yield
+    samples only for the cycles they completed.
+    """
+    sampler = DensitySampler((unit,), capacity)
     for step in trace.steps:
-        fired = {a.rule for a in step.applied}
-        take = deposit_id in fired or restart_id in fired
-        if not take and step.halted and not sampled_prev:
-            # A last cycle with nothing to deposit fires no rule at all;
-            # the parked carrier phase identifies it.
-            take = step.state.get(carrier, {}).get(final_phase, 0) > 0
-        if take:
-            tokens = step.state.get(tissue, {}).get(spec.payload_symbol, 0)
-            series.append((len(series) + 1, decode_density(tokens, capacity)))
-        sampled_prev = take
-    return series
+        sampler.add(step)
+    return sampler.series[unit]
 
 
 def transit_total(state: dict[str, dict[str, int]], unit: int) -> int:

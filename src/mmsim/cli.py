@@ -2,8 +2,9 @@
 
 Exit codes are uniform across subcommands: 0 success, 1 domain or model
 error (syntax, lint findings, bad parameters, engine failures), 2 I/O
-error.  Traces go to files as JSON Lines; the ``bone`` subcommand prints a
-density-per-cycle CSV on stdout.
+error.  Traces go to files as JSON Lines, written step by step while the
+run goes on, so a failed run leaves the lines of the steps before the
+failure; the ``bone`` subcommand prints a density-per-cycle CSV on stdout.
 """
 
 from __future__ import annotations
@@ -11,13 +12,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import deque
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
-from .bone import BoneParams, build_bone_model, density_series
+from .bone import BoneParams, DensitySampler, build_bone_model
 from .coupling import FIRST_CYCLE_EXTRA_STEPS, carrier_cycle_length
-from .engine import EngineError, EngineOptions, label_totals, run
-from .parser import ParseError, lint, parse_model, serialize_model
-from .tracefile import model_hash, write_trace
+from .engine import EngineError, EngineOptions, TraceStep, iter_steps, label_totals
+from .parser import Model, ParseError, lint, parse_model, serialize_model
+from .rng import RNG_ALGORITHM
+from .tracefile import model_hash, trace_lines
 
 __all__ = ["RunConfig", "cmd_validate", "cmd_run", "cmd_bone", "main"]
 
@@ -74,20 +78,41 @@ def cmd_validate(path: str) -> int:
     return EXIT_MODEL if warnings else EXIT_OK
 
 
-def _write_trace_file(trace, model, path: str, snapshot_every: int) -> int:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fp:
-            write_trace(trace, model_hash(model), fp, snapshot_every)
-    except OSError as exc:
-        print(f"{path}: error: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
-
-
 def _engine_error(exc: EngineError) -> int:
     where = "" if exc.step is None else f"step {exc.step}: "
     print(f"error: {where}{exc}", file=sys.stderr)
     return EXIT_MODEL
+
+
+def _observed(steps: Iterator[TraceStep],
+              observe: Callable[[TraceStep], None]) -> Iterator[TraceStep]:
+    for step in steps:
+        observe(step)
+        yield step
+
+
+def _drive(model: Model, options: EngineOptions, steps: Iterator[TraceStep],
+           observe: Callable[[TraceStep], None], trace_path: str | None,
+           snapshot_every: int) -> int:
+    """Hand every step of the run to *observe* as it is made and, given a
+    trace path, write its line; returns the exit status.  The file is
+    opened before the first step, so a bad path costs no engine work, and
+    a failed run leaves the lines of the steps before the failure."""
+    try:
+        if trace_path is None:
+            for step in steps:
+                observe(step)
+        else:
+            with open(trace_path, "w", encoding="utf-8", newline="\n") as fp:
+                for line in trace_lines(options.seed, RNG_ALGORITHM, model_hash(model),
+                                        _observed(steps, observe), snapshot_every):
+                    fp.write(line + "\n")
+    except OSError as exc:
+        print(f"{trace_path}: error: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_IO
+    except EngineError as exc:
+        return _engine_error(exc)
+    return EXIT_OK
 
 
 def _state_summary(state: dict[str, dict[str, int]]) -> str:
@@ -109,16 +134,21 @@ def cmd_run(config: RunConfig) -> int:
               file=sys.stderr)
         return EXIT_MODEL
     try:
-        trace = run(model, options, config.max_steps)
+        steps = iter_steps(model, options, config.max_steps)
     except EngineError as exc:
         return _engine_error(exc)
-    if config.trace_path is not None:
-        status = _write_trace_file(trace, model, config.trace_path, config.snapshot_every)
-        if status != EXIT_OK:
-            return status
-    final_state = trace.steps[-1].state if trace.steps else label_totals(trace.final)
-    print(f"steps={len(trace.steps)} halted={'true' if trace.halted else 'false'} "
-          f"state={_state_summary(final_state)}")
+    last: deque[TraceStep] = deque(maxlen=1)
+    status = _drive(model, options, steps, last.append, config.trace_path,
+                    config.snapshot_every)
+    if status != EXIT_OK:
+        return status
+    if last:
+        final = last[0]
+        count, halted, state = final.index + 1, final.halted, final.state
+    else:
+        count, halted, state = 0, False, label_totals(model.config)
+    print(f"steps={count} halted={'true' if halted else 'false'} "
+          f"state={_state_summary(state)}")
     return EXIT_OK
 
 
@@ -139,17 +169,14 @@ def cmd_bone(params: BoneParams, seed: int = 0, emit_model: str | None = None,
         except OSError as exc:
             print(f"{emit_model}: error: {exc.strerror or exc}", file=sys.stderr)
             return EXIT_IO
-    try:
-        trace = run(model, options, max_steps=bone_step_bound(params))
-    except EngineError as exc:
-        return _engine_error(exc)
-    if trace_path is not None:
-        status = _write_trace_file(trace, model, trace_path, 1)
-        if status != EXIT_OK:
-            return status
+    steps = iter_steps(model, options, max_steps=bone_step_bound(params))
+    sampler = DensitySampler(range(1, params.units + 1), params.capacity)
+    status = _drive(model, options, steps, sampler.add, trace_path, 1)
+    if status != EXIT_OK:
+        return status
     print("unit,cycle,density")
-    for unit in range(1, params.units + 1):
-        for cycle, density in density_series(trace, unit, params.capacity):
+    for unit, series in sampler.series.items():
+        for cycle, density in series:
             print(f"{unit},{cycle},{density}")
     return EXIT_OK
 

@@ -47,13 +47,18 @@ only when an instance first consumes from it.
 
 If no instance is applicable the step reports ``halted`` and leaves the
 state unchanged.
+
+A run is a stream: :func:`iter_steps` yields each :class:`TraceStep` as it
+is made, and :func:`run` collects the same stream into a :class:`Trace`.
+A consumer that keeps only what it needs of each step runs in memory that
+grows with the model, not with the number of steps.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     MAX_COUNT,
@@ -80,6 +85,7 @@ __all__ = [
     "Trace",
     "enumerate_instances",
     "step",
+    "iter_steps",
     "run",
     "label_totals",
 ]
@@ -97,7 +103,8 @@ class InstanceBoundExceeded(EngineError):
 
 
 class CountOverflow(EngineError):
-    """A step would raise an object count above ``MAX_COUNT``."""
+    """An object count, or a label's total of one symbol, would exceed
+    ``MAX_COUNT``."""
 
 
 class SelfCheckViolation(EngineError):
@@ -263,7 +270,11 @@ class _State:
             by_label.setdefault(m.label, []).append(m.id)
             total = self.totals.setdefault(m.label, {})
             for sym, n in counts.items():
-                total[sym] = total.get(sym, 0) + n
+                n += total.get(sym, 0)
+                if n > MAX_COUNT:
+                    raise CountOverflow(
+                        f"label {m.label!r} holds more than {MAX_COUNT} of {sym!r} in all")
+                total[sym] = n
         self.by_label = {label: sorted(ids) for label, ids in by_label.items()}
         self.changed: set[str] = set(self.by_label)
         self.snapshot: dict[str, dict[str, int]] = dict.fromkeys(self.by_label)
@@ -416,8 +427,9 @@ def _select_maximal(state: _State, candidates: list[tuple], rng: SplitMix64,
 def _apply(state: _State, applied: Sequence[tuple[tuple, int]]) -> None:
     contents, parent, children = state.contents, state.parent, state.children
     labels, totals, changed = state.labels, state.totals, state.changed
-    moves: list[tuple[int, int]] = []
-    for (_, sid, hid, pid, source, consumed, locks, e), k in applied:
+    # Every consumption is charged before any production, so totals only
+    # grow in the second loop and its overflow check sees no transient peak.
+    for (_, _, _, _, source, consumed, _, e), k in applied:
         src = contents[source]
         label = labels[source]
         total = totals[label]
@@ -437,6 +449,8 @@ def _apply(state: _State, applied: Sequence[tuple[tuple, int]]) -> None:
             else:
                 del total[sym]
         changed.add(label)
+    moves: list[tuple[int, int]] = []
+    for (_, sid, hid, pid, _, _, locks, e), k in applied:
         if e.produced:
             sink = pid if e.form is RuleForm.SEND_OUT else sid
             dst = contents[sink]
@@ -444,12 +458,15 @@ def _apply(state: _State, applied: Sequence[tuple[tuple, int]]) -> None:
             total = totals[label]
             for sym, n in e.produced:
                 kn = k * n
-                count = dst.get(sym, 0) + kn
+                # A membrane's count never exceeds its label's total, so
+                # bounding the total bounds both.
+                count = total.get(sym, 0) + kn
                 if count > MAX_COUNT:
                     raise CountOverflow(
-                        f"rule {e.rule.id!r} would raise the count of {sym!r} above {MAX_COUNT}")
-                dst[sym] = count
-                total[sym] = total.get(sym, 0) + kn
+                        f"rule {e.rule.id!r} would raise the total of {sym!r} in "
+                        f"label {label!r} above {MAX_COUNT}")
+                total[sym] = count
+                dst[sym] = dst.get(sym, 0) + kn
             changed.add(label)
         if locks is not None:
             # EXO leaves the host for the host's parent; every target is read
@@ -548,6 +565,42 @@ def label_totals(config: Configuration) -> dict[str, dict[str, int]]:
     return _totals(_State(config))
 
 
+def _steps(state: _State, rules: tuple[Rule, ...], options: EngineOptions,
+           max_steps: int) -> Iterator[TraceStep]:
+    """The run's step loop: steps *state* in place and yields each step."""
+    table = _compile(rules)
+    rng = SplitMix64(options.seed)
+    for index in range(max_steps):
+        try:
+            applied = _step(state, table, rng, options)
+        except EngineError as exc:
+            exc.step = index
+            raise
+        summary = tuple(AppliedRule(e.rule.id, sid, hid, k)
+                        for (_, sid, hid, _, _, _, _, e), k in applied)
+        yield TraceStep(index, summary, not applied, _totals(state))
+        if not applied:
+            return
+
+
+def _start(model: Model, max_steps: int) -> _State:
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
+    return _State(model.config)
+
+
+def iter_steps(model: Model, options: EngineOptions = EngineOptions(),
+               max_steps: int = 10_000) -> Iterator[TraceStep]:
+    """The steps of :func:`run`, each yielded as soon as it is made.
+
+    Bad arguments and a model whose label totals already exceed
+    ``MAX_COUNT`` raise here, before the first step; an
+    :class:`EngineError` raised by a step carries that step's index and
+    ends the stream.
+    """
+    return _steps(_start(model, max_steps), model.rules, options, max_steps)
+
+
 def run(model: Model, options: EngineOptions = EngineOptions(),
         max_steps: int = 10_000) -> Trace:
     """Run a model until it halts or *max_steps* steps were taken.
@@ -557,21 +610,6 @@ def run(model: Model, options: EngineOptions = EngineOptions(),
     step is recorded in the trace when the run reaches it.  An
     :class:`EngineError` raised by a step carries that step's index.
     """
-    if max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
-    rng = SplitMix64(options.seed)
-    state = _State(model.config)
-    table = _compile(model.rules)
-    steps: list[TraceStep] = []
-    for index in range(max_steps):
-        try:
-            applied = _step(state, table, rng, options)
-        except EngineError as exc:
-            exc.step = index
-            raise
-        summary = tuple(AppliedRule(e.rule.id, sid, hid, k)
-                        for (_, sid, hid, _, _, _, _, e), k in applied)
-        steps.append(TraceStep(index, summary, not applied, _totals(state)))
-        if not applied:
-            break
-    return Trace(options.seed, RNG_ALGORITHM, tuple(steps), state.config())
+    state = _start(model, max_steps)
+    steps = tuple(_steps(state, model.rules, options, max_steps))
+    return Trace(options.seed, RNG_ALGORITHM, steps, state.config())

@@ -8,25 +8,31 @@ detect divergence:
 
 Each step line carries the applied instances with multiplicities; the full
 per-label state is included every ``snapshot_every`` steps and always on
-the final step:
+the last line written:
 
     {"step": 3, "applied": [{"rule": "V1_drain", "subject": 4, "host": null,
      "count": 10}], "halted": false, "state": {"T1": {}, "V1": {...}}}
 
 All objects are dumped with sorted keys and compact separators, so equal
 runs produce byte-identical files.
+
+Lines are encoded from a stream of steps, so a file can be written while
+the run is still going.  When a run fails at step N with an
+:class:`~mmsim.engine.EngineError`, the stream still ends with the lines
+of steps 0..N-1, and the line of step N-1 carries its state whatever
+``snapshot_every`` is.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator
 
-from .engine import Trace
+from .engine import EngineError, Trace, TraceStep
 from .parser import Model, serialize_model
 
-__all__ = ["model_hash", "write_trace", "dump_trace"]
+__all__ = ["model_hash", "trace_lines", "write_trace", "dump_trace"]
 
 
 def model_hash(model: Model) -> str:
@@ -34,33 +40,64 @@ def model_hash(model: Model) -> str:
     return hashlib.sha256(serialize_model(model).encode("utf-8")).hexdigest()
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# json.dumps with these arguments builds an encoder on every call; a run
+# encodes one state per step, so the encoder is built once.
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _trace_lines(trace: Trace, digest: str, snapshot_every: int) -> Iterator[str]:
-    """The trace file's lines, without line terminators, one at a time."""
+class _JsonStrings(dict):
+    """A string's JSON form, encoded on first lookup and kept."""
+
+    def __missing__(self, key: str) -> str:
+        encoded = self[key] = json.dumps(key)
+        return encoded
+
+
+def _step_line(step: TraceStep, with_state: bool, rule_json: _JsonStrings) -> str:
+    """What :func:`_dump` gives for the step's record, written field by
+    field in its sorted key order."""
+    applied = ",".join(
+        f'{{"count":{a.count},"host":{"null" if a.host is None else a.host},'
+        f'"rule":{rule_json[a.rule]},"subject":{a.subject}}}'
+        for a in step.applied)
+    state = f',"state":{_dump(step.state)}' if with_state else ""
+    halted = "true" if step.halted else "false"
+    return f'{{"applied":[{applied}],"halted":{halted}{state},"step":{step.index}}}'
+
+
+def trace_lines(seed: int, rng: str, digest: str, steps: Iterable[TraceStep],
+                snapshot_every: int = 1) -> Iterator[str]:
+    """The trace file's lines, without line terminators, one per step as
+    *steps* yields it.
+
+    One step is held back until the next arrives, so the last line can
+    carry its state.  An :class:`~mmsim.engine.EngineError` from *steps*
+    is re-raised after the held-back step's line.
+    """
     if snapshot_every < 1:
         raise ValueError("snapshot_every must be >= 1")
-    yield _dump({"seed": trace.seed, "rng": trace.rng, "model_hash": digest})
-    last = len(trace.steps) - 1
-    for i, step in enumerate(trace.steps):
-        record = {
-            "step": step.index,
-            "applied": [{"rule": a.rule, "subject": a.subject, "host": a.host,
-                         "count": a.count} for a in step.applied],
-            "halted": step.halted,
-        }
-        if step.index % snapshot_every == 0 or i == last:
-            record["state"] = step.state
-        yield _dump(record)
+    yield _dump({"seed": seed, "rng": rng, "model_hash": digest})
+    rule_json = _JsonStrings()
+    held: TraceStep | None = None
+    try:
+        for step in steps:
+            if held is not None:
+                yield _step_line(held, held.index % snapshot_every == 0, rule_json)
+            held = step
+    except EngineError:
+        if held is not None:
+            yield _step_line(held, True, rule_json)
+        raise
+    if held is not None:
+        yield _step_line(held, True, rule_json)
 
 
 def dump_trace(trace: Trace, digest: str, snapshot_every: int = 1) -> str:
-    return "".join(line + "\n" for line in _trace_lines(trace, digest, snapshot_every))
+    return "".join(line + "\n" for line in
+                   trace_lines(trace.seed, trace.rng, digest, trace.steps, snapshot_every))
 
 
 def write_trace(trace: Trace, digest: str, fp: IO[str], snapshot_every: int = 1) -> None:
     """Write the same text as :func:`dump_trace`, one line at a time."""
-    for line in _trace_lines(trace, digest, snapshot_every):
+    for line in trace_lines(trace.seed, trace.rng, digest, trace.steps, snapshot_every):
         fp.write(line + "\n")

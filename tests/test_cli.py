@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from mmsim.bone import BoneParams, build_bone_model, density_series
 from mmsim.cli import main
+from mmsim.engine import EngineOptions, run
 
 CORPUS = Path(__file__).parent / "corpus"
 BONE = CORPUS / "valid" / "bone_default.mm"
@@ -105,6 +108,46 @@ class TestRun:
         out = capsys.readouterr()
         assert out.err.count("\n") == 1 and out.err.startswith("error: step 1: ")
 
+    @pytest.mark.parametrize("max_steps", ["0", "10"])
+    def test_label_total_overflow_at_start_is_one_error_line(self, max_steps, tmp_path, capsys):
+        model = tmp_path / "totals.mm"
+        model.write_text("[skin: [A: a*5000000000000000000] [A: a*5000000000000000000]]\n")
+        assert main(["run", str(model), "--max-steps", max_steps]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.count("\n") == 1 and out.err.startswith("error: label 'A' ")
+        assert "'a'" in out.err
+
+    def test_label_total_overflow_in_a_step_is_one_error_line(self, tmp_path, capsys):
+        model = tmp_path / "growth.mm"
+        model.write_text("[skin: [A: a, b*4611686018427387903] [A: b*4611686018427387903]]\n"
+                         "rule g: in A: a -> a, b\n")
+        assert main(["run", str(model)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.count("\n") == 1 and out.err.startswith("error: step 1: ")
+        assert "'g'" in out.err and "'b'" in out.err and "'A'" in out.err
+
+    @pytest.mark.parametrize("rules,snapshot_every,failing_step", [
+        ("rule g: in s: a -> b\nrule h: in s: b -> c*5000000000000000000\n", "1", 1),
+        ("rule g: in s: a -> b\nrule h: in s: b -> c\n"
+         "rule k: in s: c -> d*5000000000000000000\n", "2", 2),
+    ], ids=["step-1", "step-2-snapshot-every-2"])
+    def test_failed_run_keeps_partial_trace(self, rules, snapshot_every, failing_step,
+                                            tmp_path, capsys):
+        model, trace = tmp_path / "late.mm", tmp_path / "late.jsonl"
+        model.write_text("[s: a*2]\n" + rules)
+        assert main(["run", str(model), "--trace", str(trace),
+                     "--snapshot-every", snapshot_every]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: step {failing_step}: ")
+        lines = trace.read_text().splitlines()
+        assert json.loads(lines[0])["seed"] == 0
+        records = [json.loads(line) for line in lines[1:]]
+        assert [r["step"] for r in records] == list(range(failing_step))
+        assert "state" in records[-1]  # the last line always carries its state
+
     @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
     def test_seed_outside_unsigned_64_bits_is_one_error_line(self, seed, capsys):
         assert main(["run", str(BONE), "--seed", seed]) == 1
@@ -158,8 +201,43 @@ class TestBone:
         assert out.err == "error: seed must be an unsigned 64-bit integer\n"
         assert not trace.exists()
 
+    @pytest.mark.parametrize("density,oc,ob", [(0.5, 2, 1), (0.0, 0, 0), (1.0, 3, 0)])
+    def test_csv_equals_density_series_of_each_unit(self, density, oc, ob, capsys):
+        params = BoneParams(density=density, oc=oc, ob=ob, cycles=3, units=3)
+        assert main(["bone", "--units", "3", "--cycles", "3", "--density", str(density),
+                     "--oc", str(oc), "--ob", str(ob)]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        trace = run(build_bone_model(params), EngineOptions(), max_steps=4000)
+        expected = [f"{unit},{cycle},{d}" for unit in (1, 2, 3)
+                    for cycle, d in density_series(trace, unit, params.capacity)]
+        assert rows == ["unit,cycle,density", *expected] and len(expected) == 9
+
+    def test_trace_memory_does_not_grow_with_cycles(self, tmp_path, capsys):
+        def peak(cycles: int) -> int:
+            tracemalloc.start()
+            try:
+                assert main(["bone", "--cycles", str(cycles), "--oc", "3", "--ob", "1",
+                             "--trace", str(tmp_path / f"{cycles}.jsonl")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # compiles the rule table outside the measured runs
+        short, long = peak(40), peak(400)
+        capsys.readouterr()
+        assert long - short < 1 << 20
+
     def test_bad_flag_value_is_domain_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["bone", "--cycles", "many"])
         assert exit_info.value.code == 1
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [["run", str(BONE)], ["bone"]])
+def test_unwritable_trace_path_is_one_io_error_line(command, tmp_path, capsys):
+    trace = tmp_path / "no-such-dir" / "t.jsonl"
+    assert main([*command, "--trace", str(trace)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and out.err.startswith(f"{trace}: error: ")

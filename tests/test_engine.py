@@ -6,6 +6,7 @@ import pytest
 
 from mmsim import engine, oracle
 from mmsim.core import (
+    MAX_COUNT,
     build_configuration,
     endo,
     exo,
@@ -16,10 +17,12 @@ from mmsim.core import (
     validate,
 )
 from mmsim.engine import (
+    CountOverflow,
     EngineOptions,
     InstanceBoundExceeded,
     SelfCheckViolation,
     enumerate_instances,
+    iter_steps,
     label_totals,
     run,
     step,
@@ -323,6 +326,7 @@ class TestRun:
             assert recorded.state == label_totals(result.config)
             config = result.config
         assert trace.final == config
+        assert tuple(iter_steps(model, options, max_steps)) == trace.steps
 
     def test_run_equals_chained_steps_on_random_systems(self):
         for make in (random_system, random_deep_system):
@@ -346,6 +350,30 @@ class TestRun:
         with pytest.raises(InstanceBoundExceeded) as failure:
             step(run(model, max_steps=1).final, model.rules, SplitMix64(0), options)
         assert failure.value.step is None
+
+    def test_iter_steps_checks_arguments_before_the_first_step(self):
+        with pytest.raises(ValueError, match="max_steps"):
+            iter_steps(drain_model(), max_steps=-1)
+
+    def test_label_total_overflow_at_start(self):
+        model = parse_model(f"[skin: [A: a*{MAX_COUNT}] [A: a]]")
+        with pytest.raises(CountOverflow, match="'A'.*'a'") as failure:
+            label_totals(model.config)
+        assert failure.value.step is None
+        with pytest.raises(CountOverflow):
+            iter_steps(model)
+        with pytest.raises(CountOverflow):
+            run(model, max_steps=0)
+
+    def test_total_overflow_check_sees_the_whole_step(self):
+        # p is applied before q, and the label total of b would pass
+        # MAX_COUNT in between if q's consumption were charged after p's
+        # production; the post-step total is exactly MAX_COUNT.
+        model = parse_model(f"[skin: [A: b*{MAX_COUNT - 1}, x] [A: a]] "
+                            "rule p: in A: a -> b*2 rule q: in A: x, b -> y")
+        first = run(model, max_steps=1).steps[0]
+        assert [a.rule for a in first.applied] == ["p", "q"]
+        assert first.state["A"] == {"b": MAX_COUNT, "y": 1}
 
     def test_unchanged_labels_share_snapshots(self):
         model = parse_model("[skin: a*3 [V: x] [W: y]] rule burn: in skin: a -> b")

@@ -1,4 +1,5 @@
-"""Traces pinned across commits: SHA-256 digests of ``dump_trace`` output.
+"""Traces pinned across commits: SHA-256 digests of ``dump_trace`` output,
+and of the trace files the command line writes while the run goes on.
 
 A change to the engine, the generator or the trace format that alters any
 of these traces must say why, and update the digests with it.
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from mmsim.bone import BoneParams, build_bone_model
+from mmsim.cli import main
 from mmsim.engine import EngineOptions, run
 from mmsim.parser import Model, parse_model
 from mmsim.tracefile import dump_trace, model_hash
@@ -72,3 +74,27 @@ def test_corpus_trace_digest(name, seed):
 def test_bone_trace_digests():
     model = build_bone_model(BoneParams(units=3, cycles=4, oc=3, ob=1))
     assert {seed: trace_digest(model, seed) for seed in BONE_DIGESTS} == BONE_DIGESTS
+
+
+def file_digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name,seed", sorted(CORPUS_DIGESTS))
+def test_cli_corpus_trace_file_digest(name, seed, tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    assert main(["run", str(CORPUS / name), "--seed", str(seed), "--max-steps", "200",
+                 "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    assert file_digest(trace) == CORPUS_DIGESTS[name, seed]
+
+
+def test_cli_bone_trace_file_digests(tmp_path, capsys):
+    digests = {}
+    for seed in BONE_DIGESTS:
+        trace = tmp_path / f"{seed}.jsonl"
+        assert main(["bone", "--units", "3", "--cycles", "4", "--oc", "3", "--ob", "1",
+                     "--seed", str(seed), "--trace", str(trace)]) == 0
+        digests[seed] = file_digest(trace)
+    capsys.readouterr()
+    assert digests == BONE_DIGESTS
