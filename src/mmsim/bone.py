@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Configuration, Membrane, Multiset, Rule, rewrite
+from .core import MAX_COUNT, Configuration, Membrane, Multiset, Rule, rewrite
 from .coupling import CouplingSpec, generate_carrier_protocol
 from .engine import Trace, TraceStep
 from .parser import Model
@@ -72,14 +72,16 @@ class BoneParams:
     units: int = 1
 
     def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        # Each of these becomes an object count (the payload is at most
+        # ``capacity``), and no count may exceed MAX_COUNT.
+        if not 1 <= self.capacity <= MAX_COUNT:
+            raise ValueError(f"capacity must be within [1, {MAX_COUNT}]")
         if not 0.0 <= self.density <= 1.0:
             raise ValueError(f"density must be within [0, 1], got {self.density}")
-        if self.oc < 0 or self.ob < 0:
-            raise ValueError("oc and ob must be >= 0")
-        if self.cycles < 0:
-            raise ValueError("cycles must be >= 0")
+        if not (0 <= self.oc <= MAX_COUNT and 0 <= self.ob <= MAX_COUNT):
+            raise ValueError(f"oc and ob must be within [0, {MAX_COUNT}]")
+        if not 0 <= self.cycles <= MAX_COUNT:
+            raise ValueError(f"cycles must be within [0, {MAX_COUNT}]")
         if self.units < 1:
             raise ValueError("units must be >= 1")
 

@@ -58,6 +58,8 @@ DRAIN_PHASE = 2
 # cycle takes PHASE_COUNT - DRAIN_PHASE steps.
 FIRST_CYCLE_EXTRA_STEPS = DRAIN_PHASE
 
+_PHASE_SYMBOLS = tuple(f"p{i}" for i in range(PHASE_COUNT))
+
 
 @dataclass(frozen=True)
 class CouplingSpec:
@@ -121,10 +123,10 @@ class CouplingSpec:
 
     @property
     def phase_symbols(self) -> tuple[str, ...]:
-        return tuple(f"p{i}" for i in range(PHASE_COUNT))
+        return _PHASE_SYMBOLS
 
     def phase(self, i: int) -> Multiset:
-        return Multiset({self.phase_symbols[i]: 1})
+        return Multiset({_PHASE_SYMBOLS[i]: 1})
 
     def rule_id(self, name: str) -> str:
         return f"{self.carrier_label}_{name}"

@@ -41,9 +41,11 @@ The state keeps running per-label object totals: effect application
 updates them as it changes counts, and a step re-sorts the snapshot only of
 labels whose counts changed.  An unchanged label shares its snapshot dict
 with the previous step, so ``TraceStep.state`` is read-only.  Selection and
-the maximality rescan read flat per-candidate data computed at enumeration
-(source membrane, consumed items, lock pair) and copy a membrane's counts
-only when an instance first consumes from it.
+the maximality rescan are each one loop over the flat candidate tuples
+built at enumeration (source membrane, consumed items, lock pair), with
+the residual counts and the locked membranes in a plain dict and set;
+there is no selection object and no call per candidate.  Selection copies
+a membrane's counts only when an instance first consumes from it.
 
 If no instance is applicable the step reports ``halted`` and leaves the
 state unchanged.
@@ -288,7 +290,10 @@ class _State:
 
 
 def _fits(counts: dict[str, int], need: tuple[tuple[str, int], ...]) -> bool:
-    return all(counts.get(sym, 0) >= n for sym, n in need)
+    for sym, n in need:
+        if counts.get(sym, 0) < n:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -362,63 +367,58 @@ def enumerate_instances(config: Configuration, rules: Sequence[Rule]) -> list[Ru
 # ---------------------------------------------------------------------------
 # Maximal selection
 
-class _Selection:
-    """Mutable accounting while building a maximal instance multiset.
-
-    ``residual`` holds a copy of a membrane's counts from the first
-    consumption on; until then the pre-step contents are read directly,
-    so the state must not change while the selection is in use.
-    """
-
-    def __init__(self, state: _State, limit: int):
-        self.contents = state.contents
-        self.residual: dict[int, dict[str, int]] = {}
-        self.locked: set[int] = set()
-        self.total = 0
-        self.limit = limit
-
-    def addable(self, cand: tuple) -> int:
-        """How many more copies of *cand* fit right now."""
-        source, consumed, locks = cand[4], cand[5], cand[6]
-        if locks is not None and (locks[0] in self.locked or locks[1] in self.locked):
-            return 0
-        left = self.residual.get(source)
-        if left is None:
-            left = self.contents[source]
-        k = min(left.get(sym, 0) // n for sym, n in consumed)
-        return min(k, 1) if locks is not None else k
-
-    def take(self, cand: tuple, k: int) -> None:
-        self.total += k
-        if self.total > self.limit:
-            raise InstanceBoundExceeded(
-                f"step would apply more than {self.limit} instances; runaway model?")
-        source, consumed, locks = cand[4], cand[5], cand[6]
-        left = self.residual.get(source)
-        if left is None:
-            left = self.residual[source] = dict(self.contents[source])
-        for sym, n in consumed:
-            left[sym] -= k * n
-        if locks is not None:
-            self.locked.update(locks)
-
-
 def _select_maximal(state: _State, candidates: list[tuple], rng: SplitMix64,
-                    options: EngineOptions) -> tuple[_Selection, list[int]]:
-    """Multiplicity per candidate of a maximal multiset, chosen greedily in
-    seeded-shuffle order."""
+                    options: EngineOptions
+                    ) -> tuple[dict[int, dict[str, int]], set[int], list[int]]:
+    """A maximal multiset chosen greedily in seeded-shuffle order.
+
+    Returns ``(residual, locked, counts)``: ``residual`` holds a copy of a
+    membrane's counts from its first consumption on (until then the
+    pre-step contents are read directly, so the state must not change
+    before the rescan), ``locked`` the membranes of the chosen moves, and
+    ``counts`` the multiplicity of each candidate.
+    """
     order = list(range(len(candidates)))
     rng.shuffle(order)
-    sel = _Selection(state, options.max_instances_per_step)
+    contents = state.contents
+    limit = options.max_instances_per_step
+    residual: dict[int, dict[str, int]] = {}
+    locked: set[int] = set()
+    total = 0
     counts = [0] * len(candidates)
     # One pass is maximal: residuals only shrink and locks only grow, so an
     # instance that does not fit when visited never fits later.
     for i in order:
-        k = sel.addable(candidates[i])
-        if k > 0:
-            sel.take(candidates[i], k)
-            counts[i] = k
-    return sel, counts
+        _, _, _, _, source, consumed, locks, _ = candidates[i]
+        if locks is not None and (locks[0] in locked or locks[1] in locked):
+            continue
+        left = residual.get(source)
+        fresh = left is None
+        if fresh:
+            left = contents[source]
+        k = 0
+        for sym, n in consumed:
+            q = left.get(sym, 0) // n
+            if not q:
+                k = 0
+                break
+            if not k or q < k:
+                k = q
+        if not k:
+            continue
+        if locks is not None:
+            k = 1
+            locked.update(locks)
+        total += k
+        if total > limit:
+            raise InstanceBoundExceeded(
+                f"step would apply more than {limit} instances; runaway model?")
+        if fresh:
+            left = residual[source] = dict(left)
+        for sym, n in consumed:
+            left[sym] -= k * n
+        counts[i] = k
+    return residual, locked, counts
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +501,23 @@ def _structural_violations(state: _State) -> list[str]:
     return violations
 
 
-def _check_maximal(candidates: list[tuple], sel: _Selection) -> None:
-    """The self-check's maximality rescan; runs before the effects are
-    applied, while the selection still reads pre-step contents."""
-    leftover = sum(1 for cand in candidates if sel.addable(cand) > 0)
+def _check_maximal(candidates: list[tuple], contents: dict[int, dict[str, int]],
+                   residual: dict[int, dict[str, int]], locked: set[int]) -> None:
+    """The self-check's maximality rescan of every candidate against what
+    selection left; runs before the effects are applied, while *contents*
+    still holds the pre-step counts."""
+    leftover = 0
+    for _, _, _, _, source, consumed, locks, _ in candidates:
+        if locks is not None and (locks[0] in locked or locks[1] in locked):
+            continue
+        left = residual.get(source)
+        if left is None:
+            left = contents[source]
+        for sym, n in consumed:
+            if left.get(sym, 0) < n:
+                break
+        else:
+            leftover += 1
     if leftover:
         raise SelfCheckViolation(f"step is not maximal: {leftover} instances still addable")
 
@@ -530,9 +543,9 @@ def _step(state: _State, table: _Table, rng: SplitMix64,
             f"{options.max_instances_per_step}")
     if not candidates:
         return []
-    sel, counts = _select_maximal(state, candidates, rng, options)
+    residual, locked, counts = _select_maximal(state, candidates, rng, options)
     if options.self_check:
-        _check_maximal(candidates, sel)
+        _check_maximal(candidates, state.contents, residual, locked)
     applied = [(cand, k) for cand, k in zip(candidates, counts) if k]
     _apply(state, applied)
     if options.self_check:

@@ -17,6 +17,7 @@ __all__ = ["RNG_ALGORITHM", "MASK64", "SplitMix64"]
 RNG_ALGORITHM = "splitmix64/fisher-yates"
 
 MASK64 = (1 << 64) - 1
+_TWO64 = 1 << 64
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -51,7 +52,23 @@ class SplitMix64:
                 return v % bound
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle, high index down."""
+        """In-place Fisher-Yates shuffle, high index down.
+
+        Draws exactly what ``below(i + 1)`` would for each ``i``, with the
+        generator inlined.  ``2**64 % bound < bound``, so a draw below
+        ``2**64 - bound`` is below the rejection threshold and is accepted
+        without computing it.
+        """
+        state = self._state
         for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+            bound = i + 1
+            while True:
+                state = (state + _GOLDEN) & MASK64
+                z = ((state ^ (state >> 30)) * _MIX1) & MASK64
+                z = ((z ^ (z >> 27)) * _MIX2) & MASK64
+                z ^= z >> 31
+                if z < _TWO64 - bound or z < _TWO64 - _TWO64 % bound:
+                    break
+            j = z % bound
             items[i], items[j] = items[j], items[i]
+        self._state = state

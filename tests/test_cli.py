@@ -10,6 +10,7 @@ import pytest
 
 from mmsim.bone import BoneParams, build_bone_model, density_series
 from mmsim.cli import main
+from mmsim.core import MAX_COUNT
 from mmsim.engine import EngineOptions, run
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -200,6 +201,19 @@ class TestBone:
         assert out.out == ""
         assert out.err == "error: seed must be an unsigned 64-bit integer\n"
         assert not trace.exists()
+
+    # A huge but valid --cycles is left out: that run would not end.
+    @pytest.mark.parametrize("flags,domain", [
+        (["--cycles", str(MAX_COUNT + 1)], "cycles must be within [0, "),
+        (["--capacity", str(1 << 64), "--density", "1"], "capacity must be within [1, "),
+        (["--oc", str(MAX_COUNT + 1)], "oc and ob must be within [0, "),
+        (["--ob", str(MAX_COUNT + 1)], "oc and ob must be within [0, "),
+    ], ids=["cycles", "capacity", "oc", "ob"])
+    def test_count_above_max_count_is_one_error_line(self, flags, domain, capsys):
+        assert main(["bone", *flags]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {domain}{MAX_COUNT}]\n"
 
     @pytest.mark.parametrize("density,oc,ob", [(0.5, 2, 1), (0.0, 0, 0), (1.0, 3, 0)])
     def test_csv_equals_density_series_of_each_unit(self, density, oc, ob, capsys):

@@ -190,13 +190,32 @@ class TestSelfCheck:
         state.contents[0]["a"] = 0
         assert engine._structural_violations(state) == ["zero-count: membrane 0 stores a*0"]
 
+    @staticmethod
+    def rescan(tree, rules, residual, locked):
+        state = engine._State(build_configuration(tree))
+        candidates = engine._enumerate(state, engine._compile(rules))
+        engine._check_maximal(candidates, state.contents, residual, locked)
+
+    DRAIN = ("skin", {"c": 2}, [])
+    DRAIN_RULES = [rewrite("r", "skin", {"c": 1}, {})]
+
     def test_non_maximal_selection_reported(self):
-        cfg = build_configuration(("skin", {"c": 2}, []))
-        state = engine._State(cfg)
-        candidates = engine._enumerate(state, engine._compile([rewrite("r", "skin", {"c": 1}, {})]))
-        unused = engine._Selection(state, limit=10)
-        with pytest.raises(SelfCheckViolation, match="not maximal"):
-            engine._check_maximal(candidates, unused)
+        with pytest.raises(SelfCheckViolation, match="not maximal: 1 instances"):
+            self.rescan(self.DRAIN, self.DRAIN_RULES, {}, set())
+
+    def test_residual_that_fits_one_more_copy_reported(self):
+        with pytest.raises(SelfCheckViolation, match="not maximal: 1 instances"):
+            self.rescan(self.DRAIN, self.DRAIN_RULES, {0: {"c": 1}}, set())
+
+    MOVE = ("skin", {}, [("V", {"p0": 1}, []), ("CU", {}, [])])
+    MOVE_RULES = [endo("e", "V", "CU", {"p0": 1}, {"p1": 1})]
+
+    def test_move_with_free_lock_pair_reported(self):
+        with pytest.raises(SelfCheckViolation, match="not maximal: 1 instances"):
+            self.rescan(self.MOVE, self.MOVE_RULES, {}, {0})
+
+    def test_move_with_locked_subject_accepted(self):
+        self.rescan(self.MOVE, self.MOVE_RULES, {}, {1})
 
     def test_disabled_self_check_runs_no_check(self, monkeypatch):
         model = drain_model()

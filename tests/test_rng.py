@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from mmsim.rng import MASK64, SplitMix64
+from mmsim.rng import _GOLDEN, _MIX1, _MIX2, MASK64, SplitMix64
 
 # Reference outputs of splitmix64 (Vigna's public-domain C implementation).
 VECTORS = {
@@ -53,3 +53,56 @@ def test_shuffle_reproducible_and_permutes():
 def test_outputs_fit_in_64_bits():
     rng = SplitMix64(777)
     assert all(0 <= rng.next_u64() <= MASK64 for _ in range(100))
+
+
+def below_shuffle(rng: SplitMix64, items: list) -> None:
+    """Fisher-Yates through ``below``: the reference ``shuffle`` must equal."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+def assert_shuffle_matches_reference(seed: int, length: int) -> None:
+    fast, reference = SplitMix64(seed), SplitMix64(seed)
+    a, b = list(range(length)), list(range(length))
+    fast.shuffle(a)
+    below_shuffle(reference, b)
+    assert a == b
+    assert fast.next_u64() == reference.next_u64()  # same number of draws
+
+
+def test_shuffle_equals_below_fisher_yates():
+    for seed in range(50):
+        for length in range(201):
+            assert_shuffle_matches_reference(seed, length)
+
+
+def unshift(y: int, shift: int) -> int:
+    """Inverse of ``x ^ (x >> shift)`` on 64 bits."""
+    x = y
+    for _ in range(64 // shift):
+        x = y ^ (x >> shift)
+    return x
+
+
+def seed_with_first_output(z: int) -> int:
+    """The seed whose first ``next_u64`` is *z*: the finaliser run backwards."""
+    z = unshift(z, 31)
+    z = unshift((z * pow(_MIX2, -1, 1 << 64)) & MASK64, 27)
+    state = unshift((z * pow(_MIX1, -1, 1 << 64)) & MASK64, 30)
+    return (state - _GOLDEN) & MASK64
+
+
+# 2**64 % 3 == 1, so for bound 3 the largest output is the one rejected draw
+# and the next below it is accepted only by the exact threshold.
+@pytest.mark.parametrize("first,draws", [(MASK64, 2), (MASK64 - 1, 1)],
+                         ids=["rejected", "accepted-at-threshold"])
+def test_shuffle_equals_below_fisher_yates_at_the_threshold(first, draws):
+    seed = seed_with_first_output(first)
+    assert SplitMix64(seed).next_u64() == first
+    rng, skipped = SplitMix64(seed), SplitMix64(seed)
+    rng.below(3)
+    for _ in range(draws):
+        skipped.next_u64()
+    assert rng.next_u64() == skipped.next_u64()
+    assert_shuffle_matches_reference(seed, 3)
