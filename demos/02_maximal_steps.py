@@ -3,16 +3,8 @@
 Run with:  python3 demos/02_maximal_steps.py
 """
 
-from mmsim import (
-    EngineOptions,
-    SplitMix64,
-    canonical_form,
-    label_totals,
-    oracle_successors,
-    parse_model,
-    run,
-    step,
-)
+from mmsim import EngineOptions, SplitMix64, label_totals, parse_model, run, step
+from mmsim.oracle import canonical_form, oracle_successors
 
 # Maximality in action: the step cannot stop while an instance could still
 # fire, so a single send-in rule drains all ten tokens in one step.

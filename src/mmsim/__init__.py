@@ -45,7 +45,6 @@ from .engine import (
     run,
     step,
 )
-from .oracle import OracleBoundExceeded, canonical_form, oracle_successors
 from .parser import Model, ParseError, lint, parse_model, rule_text, serialize_model
 from .coupling import CouplingSpec, carrier_cycle_length, generate_carrier_protocol
 from .bone import (
@@ -60,6 +59,6 @@ from .bone import (
     unit_spec,
 )
 from .rng import RNG_ALGORITHM, SplitMix64
-from .tracefile import dump_trace, model_hash, trace_lines, write_trace
+from .tracefile import dump_trace, model_hash, trace_lines
 
 __version__ = "0.1.0"

@@ -26,10 +26,9 @@ Everything here returns plain models and rules; serialization is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
-from .core import MAX_COUNT, Configuration, Membrane, Multiset, Rule, rewrite
+from .core import MAX_COUNT, Configuration, Membrane, Multiset, Rule, _Record, _set, rewrite
 from .coupling import CouplingSpec, generate_carrier_protocol
 from .engine import Trace, TraceStep
 from .parser import Model
@@ -54,8 +53,7 @@ OSTEOBLAST = "_ob"
 FREE_SLOT = "_f"
 
 
-@dataclass(frozen=True)
-class BoneParams:
+class BoneParams(_Record):
     """Build parameters for an n-unit bone model.
 
     ``capacity`` is the token count representing full mineralisation;
@@ -64,26 +62,28 @@ class BoneParams:
     ``cycles`` is the number of carrier round trips per unit.
     """
 
-    capacity: int = 20
-    density: float = 0.5
-    oc: int = 0
-    ob: int = 0
-    cycles: int = 1
-    units: int = 1
+    __slots__ = ("capacity", "density", "oc", "ob", "cycles", "units")
 
-    def __post_init__(self) -> None:
+    def __init__(self, capacity: int = 20, density: float = 0.5, oc: int = 0, ob: int = 0,
+                 cycles: int = 1, units: int = 1) -> None:
         # Each of these becomes an object count (the payload is at most
         # ``capacity``), and no count may exceed MAX_COUNT.
-        if not 1 <= self.capacity <= MAX_COUNT:
+        if not 1 <= capacity <= MAX_COUNT:
             raise ValueError(f"capacity must be within [1, {MAX_COUNT}]")
-        if not 0.0 <= self.density <= 1.0:
-            raise ValueError(f"density must be within [0, 1], got {self.density}")
-        if not (0 <= self.oc <= MAX_COUNT and 0 <= self.ob <= MAX_COUNT):
+        if not 0.0 <= density <= 1.0:
+            raise ValueError(f"density must be within [0, 1], got {density}")
+        if not (0 <= oc <= MAX_COUNT and 0 <= ob <= MAX_COUNT):
             raise ValueError(f"oc and ob must be within [0, {MAX_COUNT}]")
-        if not 0 <= self.cycles <= MAX_COUNT:
+        if not 0 <= cycles <= MAX_COUNT:
             raise ValueError(f"cycles must be within [0, {MAX_COUNT}]")
-        if self.units < 1:
+        if units < 1:
             raise ValueError("units must be >= 1")
+        _set(self, "capacity", capacity)
+        _set(self, "density", density)
+        _set(self, "oc", oc)
+        _set(self, "ob", ob)
+        _set(self, "cycles", cycles)
+        _set(self, "units", units)
 
 
 def encode_density(density: float, capacity: int) -> int:

@@ -13,10 +13,10 @@ import argparse
 import json
 import sys
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .bone import BoneParams, DensitySampler, build_bone_model
+from .core import _Record, _set
 from .coupling import FIRST_CYCLE_EXTRA_STEPS, carrier_cycle_length
 from .engine import EngineError, EngineOptions, TraceStep, iter_steps, label_totals
 from .parser import Model, ParseError, lint, parse_model, serialize_model
@@ -30,20 +30,23 @@ EXIT_MODEL = 1
 EXIT_IO = 2
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    model_path: str
-    seed: int = 0
-    max_steps: int = 10_000
-    trace_path: str | None = None
-    snapshot_every: int = 1
-    self_check: bool = True
+class RunConfig(_Record):
+    __slots__ = ("model_path", "seed", "max_steps", "trace_path", "snapshot_every",
+                 "self_check")
 
-    def __post_init__(self) -> None:
-        if self.max_steps < 0:
+    def __init__(self, model_path: str, seed: int = 0, max_steps: int = 10_000,
+                 trace_path: str | None = None, snapshot_every: int = 1,
+                 self_check: bool = True) -> None:
+        if max_steps < 0:
             raise ValueError("max-steps must be >= 0")
-        if self.snapshot_every < 1:
+        if snapshot_every < 1:
             raise ValueError("snapshot-every must be >= 1")
+        _set(self, "model_path", model_path)
+        _set(self, "seed", seed)
+        _set(self, "max_steps", max_steps)
+        _set(self, "trace_path", trace_path)
+        _set(self, "snapshot_every", snapshot_every)
+        _set(self, "self_check", self_check)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 
 __all__ = [
     "MAX_COUNT",
-    "Symbolish",
     "is_symbol",
     "check_symbol",
     "is_reserved_symbol",
@@ -67,8 +66,6 @@ MAX_COUNT = (1 << 63) - 1
 # then letters/digits/underscores.  A leading underscore marks the reserved
 # namespace used for machine-generated symbols (see mmsim.coupling).
 _SYMBOL_RE = re.compile(r"\A_*[A-Za-z][A-Za-z0-9_]*\Z")
-
-Symbolish = str
 
 
 def is_symbol(name: object) -> bool:
@@ -217,9 +214,56 @@ class RuleForm(Enum):
 
 _MOVE_FORMS = (RuleForm.ENDO, RuleForm.EXO)
 
+# Sets a field of a record: records refuse ``setattr`` once built.
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Rule:
+
+class _Record:
+    """Base of the immutable record types.
+
+    A subclass names its fields, in constructor order, in ``__slots__``
+    (plus ``"__dict__"`` if it needs a ``cached_property``) and stores them
+    with ``object.__setattr__`` in its own ``__init__``.  A record equals
+    only a record of the same class with equal fields, hashes its fields,
+    prints as ``Name(field=value, ...)``, copies and pickles by calling its
+    class on its fields, and refuses assignment and deletion.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        get = attrgetter(*fields)
+        cls._fields = fields
+        # The field values as a tuple; attrgetter of one name returns the
+        # bare value.
+        cls._values = staticmethod(get if len(fields) > 1 else lambda record: (get(record),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self._fields, self._values(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values(self)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Rule(_Record):
     """One rewriting or movement rule, anchored to membrane labels.
 
     ``subject`` is the label the rule binds to: the rewritten membrane for
@@ -230,30 +274,32 @@ class Rule:
     no spontaneous rules.
     """
 
-    id: str
-    form: RuleForm
-    subject: str
-    consumed: Multiset
-    produced: Multiset
-    host: str | None = None
-    promoter: Multiset | None = None
+    __slots__ = ("id", "form", "subject", "consumed", "produced", "host", "promoter")
 
-    def __post_init__(self) -> None:
-        check_symbol(self.id)
-        check_symbol(self.subject)
-        object.__setattr__(self, "consumed", as_multiset(self.consumed))
-        object.__setattr__(self, "produced", as_multiset(self.produced))
-        if not self.consumed:
-            raise ValueError(f"rule {self.id!r}: consumed multiset must be non-empty")
-        if self.form in _MOVE_FORMS:
-            if self.host is None:
-                raise ValueError(f"rule {self.id!r}: {self.form.value} requires a host label")
-            check_symbol(self.host)
-        elif self.host is not None:
-            raise ValueError(f"rule {self.id!r}: {self.form.value} does not take a host label")
-        if self.promoter is not None:
-            prom = as_multiset(self.promoter)
-            object.__setattr__(self, "promoter", prom if prom else None)
+    def __init__(self, id: str, form: RuleForm, subject: str, consumed: Multiset,
+                 produced: Multiset, host: str | None = None,
+                 promoter: Multiset | None = None) -> None:
+        check_symbol(id)
+        check_symbol(subject)
+        consumed = as_multiset(consumed)
+        produced = as_multiset(produced)
+        if not consumed:
+            raise ValueError(f"rule {id!r}: consumed multiset must be non-empty")
+        if form in _MOVE_FORMS:
+            if host is None:
+                raise ValueError(f"rule {id!r}: {form.value} requires a host label")
+            check_symbol(host)
+        elif host is not None:
+            raise ValueError(f"rule {id!r}: {form.value} does not take a host label")
+        if promoter is not None:
+            promoter = as_multiset(promoter) or None
+        _set(self, "id", id)
+        _set(self, "form", form)
+        _set(self, "subject", subject)
+        _set(self, "consumed", consumed)
+        _set(self, "produced", produced)
+        _set(self, "host", host)
+        _set(self, "promoter", promoter)
 
     @property
     def moves_membrane(self) -> bool:
@@ -261,73 +307,39 @@ class Rule:
 
 
 def rewrite(rule_id: str, subject: str, consumed, produced, promoter=None) -> Rule:
-    return Rule(rule_id, RuleForm.REWRITE, subject, as_multiset(consumed),
-                as_multiset(produced), promoter=_opt(promoter))
+    return Rule(rule_id, RuleForm.REWRITE, subject, consumed, produced, promoter=promoter)
 
 
 def endo(rule_id: str, subject: str, host: str, consumed, produced, promoter=None) -> Rule:
-    return Rule(rule_id, RuleForm.ENDO, subject, as_multiset(consumed),
-                as_multiset(produced), host=host, promoter=_opt(promoter))
+    return Rule(rule_id, RuleForm.ENDO, subject, consumed, produced, host, promoter)
 
 
 def exo(rule_id: str, subject: str, host: str, consumed, produced, promoter=None) -> Rule:
-    return Rule(rule_id, RuleForm.EXO, subject, as_multiset(consumed),
-                as_multiset(produced), host=host, promoter=_opt(promoter))
+    return Rule(rule_id, RuleForm.EXO, subject, consumed, produced, host, promoter)
 
 
 def send_in(rule_id: str, subject: str, consumed, produced, promoter=None) -> Rule:
-    return Rule(rule_id, RuleForm.SEND_IN, subject, as_multiset(consumed),
-                as_multiset(produced), promoter=_opt(promoter))
+    return Rule(rule_id, RuleForm.SEND_IN, subject, consumed, produced, promoter=promoter)
 
 
 def send_out(rule_id: str, subject: str, consumed, produced, promoter=None) -> Rule:
-    return Rule(rule_id, RuleForm.SEND_OUT, subject, as_multiset(consumed),
-                as_multiset(produced), promoter=_opt(promoter))
+    return Rule(rule_id, RuleForm.SEND_OUT, subject, consumed, produced, promoter=promoter)
 
 
-def _opt(promoter) -> Multiset | None:
-    if promoter is None:
-        return None
-    ms = as_multiset(promoter)
-    return ms if ms else None
-
-
-@dataclass(frozen=True)
-class RuleInstance:
+class RuleInstance(_Record):
     """A rule bound to concrete membrane ids; the unit of step selection."""
 
-    rule: Rule
-    subject_id: int
-    host_id: int | None = None
-    parent_id: int | None = None
+    __slots__ = ("rule", "subject_id", "host_id", "parent_id")
 
-    @property
-    def consumes_from(self) -> int:
-        """Membrane id the consumed multiset is taken from."""
-        if self.rule.form is RuleForm.SEND_IN:
-            assert self.parent_id is not None
-            return self.parent_id
-        return self.subject_id
-
-    @property
-    def produces_into(self) -> int:
-        """Membrane id the produced multiset is added to."""
-        if self.rule.form is RuleForm.SEND_OUT:
-            assert self.parent_id is not None
-            return self.parent_id
-        return self.subject_id
-
-    @property
-    def structural_ids(self) -> frozenset[int]:
-        """Ids locked by the mover-lock: subject and host of endo/exo."""
-        if self.rule.moves_membrane:
-            assert self.host_id is not None
-            return frozenset((self.subject_id, self.host_id))
-        return frozenset()
+    def __init__(self, rule: Rule, subject_id: int, host_id: int | None = None,
+                 parent_id: int | None = None) -> None:
+        _set(self, "rule", rule)
+        _set(self, "subject_id", subject_id)
+        _set(self, "host_id", host_id)
+        _set(self, "parent_id", parent_id)
 
 
-@dataclass(frozen=True)
-class Membrane:
+class Membrane(_Record):
     """A labelled compartment: objects plus nested child membranes.
 
     Ids must be unique across a whole configuration (checked by
@@ -335,17 +347,17 @@ class Membrane:
     stable only so serializations and traces are deterministic.
     """
 
-    id: int
-    label: str
-    contents: Multiset = EMPTY
-    children: tuple["Membrane", ...] = ()
+    __slots__ = ("id", "label", "contents", "children")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.id, bool) or not isinstance(self.id, int) or self.id < 0:
-            raise ValueError(f"membrane id must be a non-negative int, got {self.id!r}")
-        check_symbol(self.label)
-        object.__setattr__(self, "contents", as_multiset(self.contents))
-        object.__setattr__(self, "children", tuple(self.children))
+    def __init__(self, id: int, label: str, contents: Multiset = EMPTY,
+                 children: tuple["Membrane", ...] = ()) -> None:
+        if isinstance(id, bool) or not isinstance(id, int) or id < 0:
+            raise ValueError(f"membrane id must be a non-negative int, got {id!r}")
+        check_symbol(label)
+        _set(self, "id", id)
+        _set(self, "label", label)
+        _set(self, "contents", as_multiset(contents))
+        _set(self, "children", tuple(children))
 
 
 class InvalidConfigurationError(ValueError):
@@ -354,22 +366,22 @@ class InvalidConfigurationError(ValueError):
         self.violations = violations
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(_Record):
     """A rooted tree of membranes; the skin is the root."""
 
-    skin: Membrane
+    __slots__ = ("skin", "__dict__")
 
-    def __post_init__(self) -> None:
-        violations = structural_violations(self.skin)
+    def __init__(self, skin: Membrane) -> None:
+        violations = structural_violations(skin)
         if violations:
             raise InvalidConfigurationError(violations)
+        _set(self, "skin", skin)
 
     @classmethod
     def unchecked(cls, skin: Membrane) -> "Configuration":
         """Skip construction checks. For tests seeding deliberate faults."""
         cfg = object.__new__(cls)
-        object.__setattr__(cfg, "skin", skin)
+        _set(cfg, "skin", skin)
         return cfg
 
     @cached_property

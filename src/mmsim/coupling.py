@@ -42,9 +42,8 @@ two-stage micro dynamics room to finish before pickup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Multiset, Rule, endo, exo, is_reserved_symbol, is_symbol, rewrite, send_in, send_out
+from .core import (Multiset, Rule, _Record, _set, endo, exo, is_reserved_symbol, is_symbol,
+                   rewrite, send_in, send_out)
 
 __all__ = ["CouplingSpec", "generate_carrier_protocol", "carrier_cycle_length",
            "FIRST_CYCLE_EXTRA_STEPS", "PHASE_COUNT", "DRAIN_PHASE"]
@@ -59,10 +58,11 @@ DRAIN_PHASE = 2
 FIRST_CYCLE_EXTRA_STEPS = DRAIN_PHASE
 
 _PHASE_SYMBOLS = tuple(f"p{i}" for i in range(PHASE_COUNT))
+# Multisets are immutable, so every spec hands out the same phase tokens.
+_PHASES = tuple(Multiset({sym: 1}) for sym in _PHASE_SYMBOLS)
 
 
-@dataclass(frozen=True)
-class CouplingSpec:
+class CouplingSpec(_Record):
     """Labels and symbols for one macro/micro unit.
 
     User-chosen names must stay outside the reserved namespace: generated
@@ -71,15 +71,19 @@ class CouplingSpec:
     generated name.
     """
 
-    macro_label: str = "T"
-    micro_label: str = "BMU"
-    coupling_label: str = "CU"
-    carrier_label: str = "V"
-    payload_symbol: str = "c"
-    cycle_symbol: str = "cyc"
-    cycles: int = 1
+    __slots__ = ("macro_label", "micro_label", "coupling_label", "carrier_label",
+                 "payload_symbol", "cycle_symbol", "cycles")
 
-    def __post_init__(self) -> None:
+    def __init__(self, macro_label: str = "T", micro_label: str = "BMU",
+                 coupling_label: str = "CU", carrier_label: str = "V",
+                 payload_symbol: str = "c", cycle_symbol: str = "cyc", cycles: int = 1) -> None:
+        _set(self, "macro_label", macro_label)
+        _set(self, "micro_label", micro_label)
+        _set(self, "coupling_label", coupling_label)
+        _set(self, "carrier_label", carrier_label)
+        _set(self, "payload_symbol", payload_symbol)
+        _set(self, "cycle_symbol", cycle_symbol)
+        _set(self, "cycles", cycles)
         if self.cycles < 0:
             raise ValueError("cycles must be >= 0")
         labels = (self.macro_label, self.micro_label, self.coupling_label, self.carrier_label)
@@ -126,7 +130,7 @@ class CouplingSpec:
         return _PHASE_SYMBOLS
 
     def phase(self, i: int) -> Multiset:
-        return Multiset({_PHASE_SYMBOLS[i]: 1})
+        return _PHASES[i]
 
     def rule_id(self, name: str) -> str:
         return f"{self.carrier_label}_{name}"
@@ -141,16 +145,16 @@ def generate_carrier_protocol(spec: CouplingSpec) -> tuple[Rule, ...]:
     V, T, CU, BMU = (spec.carrier_label, spec.macro_label,
                      spec.coupling_label, spec.micro_label)
     p = spec.phase
-    cyc = {spec.cycle_symbol: 1}
-    payload = {spec.payload_symbol: 1}
-    loaded = {spec.cargo_loaded: 1}
-    delivered = {spec.cargo_delivered: 1}
-    remodelled = {spec.cargo_remodelled: 1}
-    returning = {spec.cargo_returning: 1}
+    cyc = Multiset({spec.cycle_symbol: 1})
+    payload = Multiset({spec.payload_symbol: 1})
+    loaded = Multiset({spec.cargo_loaded: 1})
+    delivered = Multiset({spec.cargo_delivered: 1})
+    remodelled = Multiset({spec.cargo_remodelled: 1})
+    returning = Multiset({spec.cargo_returning: 1})
     rid = spec.rule_id
 
     return (
-        exo(rid("depart"), V, CU, p(0) + Multiset(cyc), p(1)),
+        exo(rid("depart"), V, CU, p(0) + cyc, p(1)),
         endo(rid("enter_tissue"), V, T, p(1), p(DRAIN_PHASE)),
         send_in(rid("drain"), V, payload, loaded, promoter=p(DRAIN_PHASE)),
         rewrite(rid("drain_done"), V, p(DRAIN_PHASE), p(3)),
@@ -168,7 +172,7 @@ def generate_carrier_protocol(spec: CouplingSpec) -> tuple[Rule, ...]:
         exo(rid("exit_coupling"), V, CU, p(11), p(12)),
         endo(rid("reenter_tissue"), V, T, p(12), p(13)),
         send_out(rid("deposit"), V, returning, payload, promoter=p(13)),
-        rewrite(rid("restart"), V, p(13) + Multiset(cyc), p(DRAIN_PHASE)),
+        rewrite(rid("restart"), V, p(13) + cyc, p(DRAIN_PHASE)),
     )
 
 

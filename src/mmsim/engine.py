@@ -59,11 +59,12 @@ grows with the model, not with the number of steps.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .core import (
     MAX_COUNT,
+    _set,
+    _Record,
     Configuration,
     Membrane,
     Multiset,
@@ -113,58 +114,71 @@ class SelfCheckViolation(EngineError):
     """A post-step maximality or validity assertion failed (engine bug)."""
 
 
-@dataclass(frozen=True)
-class EngineOptions:
-    seed: int = 0
-    max_instances_per_step: int = 1_000_000
-    self_check: bool = True
+class EngineOptions(_Record):
+    __slots__ = ("seed", "max_instances_per_step", "self_check")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.seed < (1 << 64):
+    def __init__(self, seed: int = 0, max_instances_per_step: int = 1_000_000,
+                 self_check: bool = True) -> None:
+        if not 0 <= seed < (1 << 64):
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if self.max_instances_per_step < 1:
+        if max_instances_per_step < 1:
             raise ValueError("max_instances_per_step must be >= 1")
+        _set(self, "seed", seed)
+        _set(self, "max_instances_per_step", max_instances_per_step)
+        _set(self, "self_check", self_check)
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(_Record):
     """Outcome of one step. ``halted`` implies the configuration is the
     input object and ``applied`` is empty."""
 
-    config: Configuration
-    applied: tuple[tuple[RuleInstance, int], ...]
-    halted: bool
+    __slots__ = ("config", "applied", "halted")
+
+    def __init__(self, config: Configuration, applied: tuple[tuple[RuleInstance, int], ...],
+                 halted: bool) -> None:
+        _set(self, "config", config)
+        _set(self, "applied", applied)
+        _set(self, "halted", halted)
 
 
-@dataclass(frozen=True)
-class AppliedRule:
+class AppliedRule(_Record):
     """One applied instance in a trace, with its multiplicity."""
 
-    rule: str
-    subject: int
-    host: int | None
-    count: int
+    __slots__ = ("rule", "subject", "host", "count")
+
+    def __init__(self, rule: str, subject: int, host: int | None, count: int) -> None:
+        _set(self, "rule", rule)
+        _set(self, "subject", subject)
+        _set(self, "host", host)
+        _set(self, "count", count)
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    index: int
-    applied: tuple[AppliedRule, ...]
-    halted: bool
-    # Post-step object totals aggregated per membrane label.  Read-only:
-    # a label whose counts did not change shares its dict with the
-    # previous step.
-    state: dict[str, dict[str, int]]
+class TraceStep(_Record):
+    """One step of a run.  ``state`` holds the post-step object totals
+    aggregated per membrane label.  It is read-only: a label whose counts
+    did not change shares its dict with the previous step."""
+
+    __slots__ = ("index", "applied", "halted", "state")
+
+    def __init__(self, index: int, applied: tuple[AppliedRule, ...], halted: bool,
+                 state: dict[str, dict[str, int]]) -> None:
+        _set(self, "index", index)
+        _set(self, "applied", applied)
+        _set(self, "halted", halted)
+        _set(self, "state", state)
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(_Record):
     """Seeded, replayable record of a run."""
 
-    seed: int
-    rng: str
-    steps: tuple[TraceStep, ...]
-    final: Configuration
+    __slots__ = ("seed", "rng", "steps", "final")
+
+    def __init__(self, seed: int, rng: str, steps: tuple[TraceStep, ...],
+                 final: Configuration) -> None:
+        _set(self, "seed", seed)
+        _set(self, "rng", rng)
+        _set(self, "steps", steps)
+        _set(self, "final", final)
 
     @property
     def halted(self) -> bool:

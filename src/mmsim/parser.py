@@ -6,7 +6,7 @@ inside tokens)::
     model     := membrane { rule }
     membrane  := '[' label [ ':' [ contents ] ] { membrane } ']'
     contents  := item { ',' item }
-    item      := symbol [ '*' integer>=1 ]
+    item      := symbol [ '*' integer ]    # 1 <= integer <= MAX_COUNT
     rule      := 'rule' ident ':' body [ 'if' contents ]
     body      := 'in' label ':' contents '->' rhs
                | 'endo' label 'into' label ':' contents '->' rhs
@@ -16,7 +16,9 @@ inside tokens)::
     rhs       := contents | '()'          # '()' is the empty multiset
 
 Membrane ids are assigned by the parser in pre-order starting at 0; users
-address membranes by label only.  Zero counts are rejected at parse time.
+address membranes by label only.  Zero counts, and counts of one symbol
+that add up to more than ``MAX_COUNT`` in one multiset, are rejected at
+parse time.
 Serialization is canonical: membranes in stored order, multiset entries in
 lexicographic symbol order, rules in stored order, so equal models always
 produce byte-identical text.
@@ -25,22 +27,26 @@ produce byte-identical text.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator
 
 from .core import (
     EMPTY,
+    MAX_COUNT,
     Configuration,
     Membrane,
     Multiset,
     Rule,
     RuleForm,
+    _Record,
+    _set,
     iter_membranes,
 )
 
 __all__ = ["ParseError", "Model", "parse_model", "serialize_model", "rule_text", "lint"]
 
 KEYWORDS = frozenset({"rule", "in", "endo", "into", "exo", "from", "if"})
+
+_COUNT_DIGITS = len(str(MAX_COUNT))
 
 
 class ParseError(ValueError):
@@ -53,21 +59,22 @@ class ParseError(ValueError):
         self.message = message
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(_Record):
     """A membrane structure plus its rule set."""
 
-    config: Configuration
-    rules: tuple[Rule, ...] = ()
-    name: str | None = None
+    __slots__ = ("config", "rules", "name")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rules", tuple(self.rules))
+    def __init__(self, config: Configuration, rules: tuple[Rule, ...] = (),
+                 name: str | None = None) -> None:
+        rules = tuple(rules)
         seen: set[str] = set()
-        for rule in self.rules:
+        for rule in rules:
             if rule.id in seen:
                 raise ValueError(f"duplicate rule id {rule.id!r}")
             seen.add(rule.id)
+        _set(self, "config", config)
+        _set(self, "rules", rules)
+        _set(self, "name", name)
 
 
 # ---------------------------------------------------------------------------
@@ -89,12 +96,15 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'ident', 'int', 'arrow', 'unit', 'sendkw', '[', ']', ':', ',', '*', 'eof'
-    text: str
-    line: int
-    column: int
+class _Token(_Record):
+    # kind: 'ident', 'int', 'arrow', 'unit', 'sendkw', '[', ']', ':', ',', '*', 'eof'
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int) -> None:
+        _set(self, "kind", kind)
+        _set(self, "text", text)
+        _set(self, "line", line)
+        _set(self, "column", column)
 
 
 def _tokenize(text: str) -> Iterator[_Token]:
@@ -192,10 +202,20 @@ class _Parser:
             if self.cur.kind == "*":
                 self.advance()
                 count_tok = self.expect("int", "a count")
-                count = int(count_tok.text)
+                # A count is at most MAX_COUNT, so a longer digit run is
+                # rejected before int() sees it.
+                digits = count_tok.text.lstrip("0") or "0"
+                count = int(digits) if len(digits) <= _COUNT_DIGITS else MAX_COUNT + 1
                 if count < 1:
                     raise ParseError(count_tok.line, count_tok.column, "count must be >= 1")
-            counts[sym_tok.text] = counts.get(sym_tok.text, 0) + count
+                if count > MAX_COUNT:
+                    raise ParseError(count_tok.line, count_tok.column,
+                                     f"count must be <= {MAX_COUNT}")
+            total = counts.get(sym_tok.text, 0) + count
+            if total > MAX_COUNT:
+                raise ParseError(sym_tok.line, sym_tok.column,
+                                 f"count of {sym_tok.text!r} adds up to more than {MAX_COUNT}")
+            counts[sym_tok.text] = total
             if self.cur.kind != ",":
                 break
             self.advance()

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .engine import EngineError, Trace, TraceStep
 from .parser import Model, serialize_model
 
-__all__ = ["model_hash", "trace_lines", "write_trace", "dump_trace"]
+__all__ = ["model_hash", "trace_lines", "dump_trace"]
 
 
 def model_hash(model: Model) -> str:
@@ -96,8 +96,3 @@ def dump_trace(trace: Trace, digest: str, snapshot_every: int = 1) -> str:
     return "".join(line + "\n" for line in
                    trace_lines(trace.seed, trace.rng, digest, trace.steps, snapshot_every))
 
-
-def write_trace(trace: Trace, digest: str, fp: IO[str], snapshot_every: int = 1) -> None:
-    """Write the same text as :func:`dump_trace`, one line at a time."""
-    for line in trace_lines(trace.seed, trace.rng, digest, trace.steps, snapshot_every):
-        fp.write(line + "\n")

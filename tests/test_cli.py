@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import mmsim
 from mmsim.bone import BoneParams, build_bone_model, density_series
 from mmsim.cli import main
 from mmsim.core import MAX_COUNT
@@ -30,6 +34,20 @@ class TestValidate:
     def test_missing_file(self, capsys):
         assert main(["validate", str(CORPUS / "nope.mm")]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("text,where", [
+        ("[s: a*99999999999999999999]\n", "1:7"),
+        ("[s: a*9223372036854775807, a]\n", "1:28"),
+    ], ids=["count-token", "repeated-symbol"])
+    def test_count_above_max_count_is_one_error_line(self, command, text, where, tmp_path,
+                                                     capsys):
+        model = tmp_path / "big.mm"
+        model.write_text(text)
+        assert main([command, str(model)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.count("\n") == 1 and out.err.startswith(f"{model}:{where}: error: ")
 
     def test_lint_findings_fail_validation(self, capsys):
         assert main(["validate", str(CORPUS / "valid" / "warn.mm")]) == 1
@@ -255,3 +273,15 @@ def test_unwritable_trace_path_is_one_io_error_line(command, tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.count("\n") == 1 and out.err.startswith(f"{trace}: error: ")
+
+
+def test_cli_import_loads_neither_dataclasses_nor_the_oracle():
+    # Every CLI process pays for what `import mmsim.cli` loads.
+    src = str(Path(mmsim.__file__).resolve().parent.parent)
+    code = ("import sys; before = set(sys.modules); import mmsim.cli; "
+            "print(sorted({'dataclasses', 'mmsim.oracle'} & (sys.modules.keys() - before)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout == "[]\n"

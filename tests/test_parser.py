@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmsim.core import Multiset, Rule, RuleForm, structurally_equal
+from mmsim.core import MAX_COUNT, Multiset, Rule, RuleForm, structurally_equal
 from mmsim.parser import KEYWORDS, Model, ParseError, lint, parse_model, rule_text, serialize_model
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -80,6 +80,29 @@ class TestParse:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_model("[skin: ] 17")
+
+    @pytest.mark.parametrize("text,column,message", [
+        ("[s: a*99999999999999999999]", 7, "count must be <= 9223372036854775807"),
+        ("[s: a*9223372036854775808]", 7, "count must be <= 9223372036854775807"),
+        ("[s: a*" + "9" * 5000 + "]", 7, "count must be <= 9223372036854775807"),
+        ("[s: a*9223372036854775807, a]", 28,
+         "count of 'a' adds up to more than 9223372036854775807"),
+        ("[s: a*4611686018427387904, b, a*4611686018427387904]", 31,
+         "count of 'a' adds up to more than 9223372036854775807"),
+    ], ids=["count-token", "max-count-plus-one", "5000-digits", "repeated-symbol",
+            "repeated-after-other"])
+    def test_count_above_max_count_is_positioned(self, text, column, message):
+        with pytest.raises(ParseError) as err:
+            parse_model("# counts\n" + text)
+        assert (err.value.line, err.value.column, err.value.message) == (2, column, message)
+
+    @pytest.mark.parametrize("text,count", [
+        ("[s: a*9223372036854775807]", MAX_COUNT),
+        ("[s: a*4611686018427387903, a*4611686018427387904]", MAX_COUNT),
+        ("[s: a*00000000000000000000000000007]", 7),
+    ], ids=["max-count", "sum-to-max-count", "leading-zeros"])
+    def test_count_up_to_max_count_is_accepted(self, text, count):
+        assert parse_model(text).config.skin.contents == Multiset({"a": count})
 
 
 class TestSerialize:
