@@ -58,23 +58,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_MODEL)
 
 
-def _read(path: str) -> bytes:
-    with open(path, "rb") as fp:
-        return fp.read()
+def _load(path: str) -> tuple[Model | None, int]:
+    """Read and parse a model file: the model and ``EXIT_OK``, or ``None``
+    and the exit status after printing the one error line."""
+    try:
+        with open(path, "rb") as fp:
+            data = fp.read()
+    except OSError as exc:
+        print(f"{path}: error: {exc.strerror or exc}", file=sys.stderr)
+        return None, EXIT_IO
+    try:
+        return parse_model(data), EXIT_OK
+    except ParseError as exc:
+        print(f"{path}:{exc.line}:{exc.column}: error: {exc.message}", file=sys.stderr)
+        return None, EXIT_MODEL
 
 
 def cmd_validate(path: str) -> int:
     """Parse and lint a model file; silent and 0 when clean."""
-    try:
-        data = _read(path)
-    except OSError as exc:
-        print(f"{path}: error: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        model = parse_model(data)
-    except ParseError as exc:
-        print(f"{path}:{exc.line}:{exc.column}: error: {exc.message}", file=sys.stderr)
-        return EXIT_MODEL
+    model, status = _load(path)
+    if model is None:
+        return status
     warnings = lint(model)
     for warning in warnings:
         print(f"{path}: warning: {warning}", file=sys.stderr)
@@ -125,17 +129,9 @@ def _state_summary(state: dict[str, dict[str, int]]) -> str:
 def cmd_run(config: RunConfig) -> int:
     """Run a model file and print a one-line summary."""
     options = EngineOptions(seed=config.seed, self_check=config.self_check)
-    try:
-        data = _read(config.model_path)
-    except OSError as exc:
-        print(f"{config.model_path}: error: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        model = parse_model(data)
-    except ParseError as exc:
-        print(f"{config.model_path}:{exc.line}:{exc.column}: error: {exc.message}",
-              file=sys.stderr)
-        return EXIT_MODEL
+    model, status = _load(config.model_path)
+    if model is None:
+        return status
     try:
         steps = iter_steps(model, options, config.max_steps)
     except EngineError as exc:

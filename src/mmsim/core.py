@@ -25,7 +25,6 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Iterator, Mapping
 from enum import Enum
-from functools import cached_property
 from operator import attrgetter
 
 __all__ = [
@@ -87,7 +86,8 @@ def is_reserved_symbol(name: str) -> bool:
 class MultisetUnderflow(ArithmeticError):
     """Subtraction of a multiset that is not contained in the minuend.
 
-    Reaching this from the engine signals an engine bug, not a user error.
+    Raised by ``Multiset.__sub__``; the engine keeps its own counts and
+    does no ``Multiset`` arithmetic.
     """
 
 
@@ -222,23 +222,22 @@ class _Record:
     """Base of the immutable record types.
 
     A subclass names its fields, in constructor order, in ``__slots__``
-    (plus ``"__dict__"`` if it needs a ``cached_property``) and stores them
-    with ``object.__setattr__`` in its own ``__init__``.  A record equals
-    only a record of the same class with equal fields, hashes its fields,
-    prints as ``Name(field=value, ...)``, copies and pickles by calling its
-    class on its fields, and refuses assignment and deletion.
+    and stores them with ``object.__setattr__`` in its own ``__init__``.
+    A record equals only a record of the same class with equal fields,
+    hashes its fields, prints as ``Name(field=value, ...)``, copies and
+    pickles by calling its class on its fields, and refuses assignment and
+    deletion.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        fields = tuple(name for name in cls.__slots__ if name != "__dict__")
-        get = attrgetter(*fields)
-        cls._fields = fields
+        get = attrgetter(*cls.__slots__)
         # The field values as a tuple; attrgetter of one name returns the
         # bare value.
-        cls._values = staticmethod(get if len(fields) > 1 else lambda record: (get(record),))
+        cls._values = staticmethod(get if len(cls.__slots__) > 1
+                                   else lambda record: (get(record),))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -250,7 +249,7 @@ class _Record:
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}"
-                           for name, value in zip(self._fields, self._values(self)))
+                           for name, value in zip(self.__slots__, self._values(self)))
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self) -> tuple:
@@ -369,7 +368,7 @@ class InvalidConfigurationError(ValueError):
 class Configuration(_Record):
     """A rooted tree of membranes; the skin is the root."""
 
-    __slots__ = ("skin", "__dict__")
+    __slots__ = ("skin",)
 
     def __init__(self, skin: Membrane) -> None:
         violations = structural_violations(skin)
@@ -383,10 +382,6 @@ class Configuration(_Record):
         cfg = object.__new__(cls)
         _set(cfg, "skin", skin)
         return cfg
-
-    @cached_property
-    def by_id(self) -> dict[int, Membrane]:
-        return {m.id: m for m in iter_membranes(self.skin)}
 
 
 def iter_membranes(root: Membrane) -> Iterator[Membrane]:

@@ -15,7 +15,7 @@ Inputs with more applicable instances than ``bound`` are rejected.
 
 from __future__ import annotations
 
-from .core import Configuration, Rule, RuleForm
+from .core import Configuration, Membrane, Rule, RuleForm
 
 __all__ = ["OracleBoundExceeded", "canonical_form", "oracle_successors"]
 
@@ -30,13 +30,11 @@ def canonical_form(config: Configuration) -> Canon:
     """Nested-tuple form of a configuration: labels, contents and shape,
     ids erased, children sorted."""
 
-    def canon(mid: int) -> Canon:
-        m = by_id[mid]
-        kids = tuple(sorted(canon(c.id) for c in m.children))
+    def canon(m: Membrane) -> Canon:
+        kids = tuple(sorted(canon(c) for c in m.children))
         return (m.label, tuple(sorted(m.contents.items())), kids)
 
-    by_id = config.by_id
-    return canon(config.skin.id)
+    return canon(config.skin)
 
 
 class _Net:

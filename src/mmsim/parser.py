@@ -18,7 +18,9 @@ inside tokens)::
 Membrane ids are assigned by the parser in pre-order starting at 0; users
 address membranes by label only.  Zero counts, and counts of one symbol
 that add up to more than ``MAX_COUNT`` in one multiset, are rejected at
-parse time.
+parse time.  Tokens carry only their character offset; the line and
+column of a :class:`ParseError` are counted from the text when it is
+raised.
 Serialization is canonical: membranes in stored order, multiset entries in
 lexicographic symbol order, rules in stored order, so equal models always
 produce byte-identical text.
@@ -80,91 +82,90 @@ class Model(_Record):
 # ---------------------------------------------------------------------------
 # Lexer
 
+# Whitespace matches no alternative, so the scan skips it; a comment
+# matches the one unnamed alternative and is dropped; any other character
+# that starts no token is ``bad``.  ASCII whitespace only: ``\s`` would also
+# accept characters such as U+00A0 and U+2028.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>[ \t\r\f\v]+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<nl>\n)
+      \#[^\n]*
     | (?P<arrow>->)
     | (?P<unit>\(\))
     | (?P<sendkw>send-(?:in|out)\b)
     | (?P<ident>_*[A-Za-z][A-Za-z0-9_]*)
     | (?P<int>[0-9]+)
     | (?P<punct>[\[\]:,*])
+    | (?P<bad>[^ \t\r\n\f\v])
     """,
     re.VERBOSE,
 )
 
 
-class _Token(_Record):
-    # kind: 'ident', 'int', 'arrow', 'unit', 'sendkw', '[', ']', ':', ',', '*', 'eof'
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind: str, text: str, line: int, column: int) -> None:
-        _set(self, "kind", kind)
-        _set(self, "text", text)
-        _set(self, "line", line)
-        _set(self, "column", column)
+def _error_at(text: str, offset: int, message: str) -> ParseError:
+    """A ParseError at character *offset* of *text*, with 1-based line and
+    column."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(text.count("\n", 0, offset) + 1, offset - line_start + 1, message)
 
 
-def _tokenize(text: str) -> Iterator[_Token]:
-    pos = 0
-    line = 1
-    col = 1
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(line, col, f"unexpected character {text[pos]!r}")
+def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
+    """``(kind, text, offset)`` for each token, then ``("eof", "", len(text))``;
+    kind is 'ident', 'int', 'arrow', 'unit', 'sendkw' or the punctuation
+    character itself."""
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind is None:
+            continue
         lexeme = m.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(lexeme)
-        else:
-            if kind == "punct":
-                kind = lexeme
-            yield _Token(kind, lexeme, line, col)
-            col += len(lexeme)
-        pos = m.end()
-    yield _Token("eof", "", line, col)
+        if kind == "bad":
+            raise _error_at(text, m.start(), f"unexpected character {lexeme!r}")
+        yield (lexeme if kind == "punct" else kind), lexeme, m.start()
+    yield "eof", "", len(text)
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = list(_tokenize(text))
         self.pos = 0
+        self.cur = self.tokens[0]
         self.next_membrane_id = 0
 
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
+    def advance(self) -> tuple[str, str, int]:
         tok = self.cur
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
+            self.cur = self.tokens[self.pos]
         return tok
 
-    def error(self, message: str, tok: _Token | None = None) -> ParseError:
-        tok = tok or self.cur
-        found = "end of input" if tok.kind == "eof" else repr(tok.text)
-        return ParseError(tok.line, tok.column, f"{message}, found {found}")
+    def error(self, message: str) -> ParseError:
+        kind, lexeme, offset = self.cur
+        found = "end of input" if kind == "eof" else repr(lexeme)
+        return _error_at(self.text, offset, f"{message}, found {found}")
 
-    def expect(self, kind: str, what: str) -> _Token:
-        if self.cur.kind != kind:
+    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
+        if self.cur[0] != kind:
             raise self.error(f"expected {what}")
         return self.advance()
 
-    def name(self, what: str) -> _Token:
-        """A non-keyword identifier token."""
-        if self.cur.kind != "ident":
+    def name(self, what: str) -> str:
+        """The text of a non-keyword identifier token."""
+        kind, lexeme, _ = self.cur
+        if kind != "ident":
             raise self.error(f"expected {what}")
-        if self.cur.text in KEYWORDS:
-            raise self.error(f"expected {what} (keyword {self.cur.text!r} is reserved)")
-        return self.advance()
+        if lexeme in KEYWORDS:
+            raise self.error(f"expected {what} (keyword {lexeme!r} is reserved)")
+        self.advance()
+        return lexeme
+
+    def at_word(self, word: str) -> bool:
+        """Whether the current token is the identifier *word*."""
+        return self.cur[0] == "ident" and self.cur[1] == word
+
+    def keyword(self, word: str) -> None:
+        if not self.at_word(word):
+            raise self.error(f"expected {word!r}")
+        self.advance()
 
     # -- grammar productions -------------------------------------------------
 
@@ -172,24 +173,24 @@ class _Parser:
         skin = self.membrane()
         rules: list[Rule] = []
         ids: set[str] = set()
-        while self.cur.kind == "ident" and self.cur.text == "rule":
+        while self.at_word("rule"):
             rules.append(self.rule(ids))
-        if self.cur.kind != "eof":
+        if self.cur[0] != "eof":
             raise self.error("expected 'rule' or end of input")
         return Model(Configuration(skin), tuple(rules))
 
     def membrane(self) -> Membrane:
         self.expect("[", "'['")
-        label = self.name("membrane label").text
+        label = self.name("membrane label")
         mid = self.next_membrane_id
         self.next_membrane_id += 1
         contents = EMPTY
-        if self.cur.kind == ":":
+        if self.cur[0] == ":":
             self.advance()
-            if self.cur.kind == "ident" and self.cur.text not in KEYWORDS:
+            if self.cur[0] == "ident" and self.cur[1] not in KEYWORDS:
                 contents = self.contents()
         children = []
-        while self.cur.kind == "[":
+        while self.cur[0] == "[":
             children.append(self.membrane())
         self.expect("]", "']'")
         return Membrane(mid, label, contents, tuple(children))
@@ -197,63 +198,64 @@ class _Parser:
     def contents(self) -> Multiset:
         counts: dict[str, int] = {}
         while True:
-            sym_tok = self.name("symbol")
+            symbol_at = self.cur[2]
+            symbol = self.name("symbol")
             count = 1
-            if self.cur.kind == "*":
+            if self.cur[0] == "*":
                 self.advance()
-                count_tok = self.expect("int", "a count")
+                _, count_text, count_at = self.expect("int", "a count")
                 # A count is at most MAX_COUNT, so a longer digit run is
                 # rejected before int() sees it.
-                digits = count_tok.text.lstrip("0") or "0"
+                digits = count_text.lstrip("0") or "0"
                 count = int(digits) if len(digits) <= _COUNT_DIGITS else MAX_COUNT + 1
                 if count < 1:
-                    raise ParseError(count_tok.line, count_tok.column, "count must be >= 1")
+                    raise _error_at(self.text, count_at, "count must be >= 1")
                 if count > MAX_COUNT:
-                    raise ParseError(count_tok.line, count_tok.column,
-                                     f"count must be <= {MAX_COUNT}")
-            total = counts.get(sym_tok.text, 0) + count
+                    raise _error_at(self.text, count_at, f"count must be <= {MAX_COUNT}")
+            total = counts.get(symbol, 0) + count
             if total > MAX_COUNT:
-                raise ParseError(sym_tok.line, sym_tok.column,
-                                 f"count of {sym_tok.text!r} adds up to more than {MAX_COUNT}")
-            counts[sym_tok.text] = total
-            if self.cur.kind != ",":
+                raise _error_at(self.text, symbol_at,
+                                f"count of {symbol!r} adds up to more than {MAX_COUNT}")
+            counts[symbol] = total
+            if self.cur[0] != ",":
                 break
             self.advance()
         return Multiset(counts)
 
     def rhs(self) -> Multiset:
-        if self.cur.kind == "unit":
+        if self.cur[0] == "unit":
             self.advance()
             return EMPTY
         return self.contents()
 
     def rule(self, seen_ids: set[str]) -> Rule:
         self.advance()  # 'rule' keyword, checked by caller
-        id_tok = self.name("rule id")
-        if id_tok.text in seen_ids:
-            raise ParseError(id_tok.line, id_tok.column, f"duplicate rule id {id_tok.text!r}")
-        seen_ids.add(id_tok.text)
+        id_at = self.cur[2]
+        rule_id = self.name("rule id")
+        if rule_id in seen_ids:
+            raise _error_at(self.text, id_at, f"duplicate rule id {rule_id!r}")
+        seen_ids.add(rule_id)
         self.expect(":", "':'")
 
-        form_tok = self.cur
+        kind, word, _ = self.cur
         host = None
-        if form_tok.kind == "sendkw":
+        if kind == "sendkw":
             self.advance()
-            form = RuleForm.SEND_IN if form_tok.text == "send-in" else RuleForm.SEND_OUT
-            subject = self.name("membrane label").text
-        elif form_tok.kind == "ident" and form_tok.text in ("in", "endo", "exo"):
+            form = RuleForm.SEND_IN if word == "send-in" else RuleForm.SEND_OUT
+            subject = self.name("membrane label")
+        elif kind == "ident" and word in ("in", "endo", "exo"):
             self.advance()
-            subject = self.name("membrane label").text
-            if form_tok.text == "in":
+            subject = self.name("membrane label")
+            if word == "in":
                 form = RuleForm.REWRITE
-            elif form_tok.text == "endo":
+            elif word == "endo":
                 form = RuleForm.ENDO
                 self.keyword("into")
-                host = self.name("host label").text
+                host = self.name("host label")
             else:
                 form = RuleForm.EXO
                 self.keyword("from")
-                host = self.name("host label").text
+                host = self.name("host label")
         else:
             raise self.error("expected a rule form (in, endo, exo, send-in, send-out)")
 
@@ -262,15 +264,10 @@ class _Parser:
         self.expect("arrow", "'->'")
         produced = self.rhs()
         promoter = None
-        if self.cur.kind == "ident" and self.cur.text == "if":
+        if self.at_word("if"):
             self.advance()
             promoter = self.contents()
-        return Rule(id_tok.text, form, subject, consumed, produced, host=host, promoter=promoter)
-
-    def keyword(self, word: str) -> None:
-        if self.cur.kind != "ident" or self.cur.text != word:
-            raise self.error(f"expected {word!r}")
-        self.advance()
+        return Rule(rule_id, form, subject, consumed, produced, host=host, promoter=promoter)
 
 
 def parse_model(text: str | bytes) -> Model:
@@ -283,10 +280,8 @@ def parse_model(text: str | bytes) -> Model:
         try:
             text = bytes(text).decode("utf-8")
         except UnicodeDecodeError as exc:
-            prefix = bytes(text[: exc.start]).decode("utf-8", errors="replace")
-            line = prefix.count("\n") + 1
-            column = len(prefix.rsplit("\n", 1)[-1]) + 1
-            raise ParseError(line, column, "invalid UTF-8 byte sequence") from None
+            prefix = exc.object[: exc.start].decode("utf-8")
+            raise _error_at(prefix, len(prefix), "invalid UTF-8 byte sequence") from None
     return _Parser(text).model()
 
 

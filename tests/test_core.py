@@ -18,6 +18,7 @@ from mmsim.core import (
     endo,
     find_membranes,
     is_symbol,
+    iter_membranes,
     rewrite,
     structurally_equal,
     total_objects,
@@ -150,7 +151,7 @@ def two_patch_config() -> Configuration:
 class TestConfiguration:
     def test_build_assigns_preorder_ids(self):
         cfg = build_configuration(("skin", {}, [("a", {}, [("b", {}, [])]), ("c", {}, [])]))
-        assert [m.label for m in sorted(cfg.by_id.values(), key=lambda m: m.id)] == [
+        assert [m.label for m in sorted(iter_membranes(cfg.skin), key=lambda m: m.id)] == [
             "skin", "a", "b", "c"]
 
     def test_find_membranes_two_patches(self):

@@ -10,6 +10,7 @@ from mmsim.core import (
     build_configuration,
     endo,
     exo,
+    iter_membranes,
     rewrite,
     send_in,
     structurally_equal,
@@ -251,7 +252,7 @@ class TestStep:
         expected = build_configuration(("skin", {}, [("CU", {}, [("V", {"p1": 1}, [])])]))
         assert structurally_equal(result.config, expected)
         # ids are preserved across the move
-        assert result.config.by_id[1].label == "V"
+        assert {m.id: m.label for m in iter_membranes(result.config.skin)}[1] == "V"
 
     def test_rewrite_can_fire_while_subject_moves(self):
         cfg = build_configuration(("skin", {}, [("V", {"p0": 1, "x": 1}, []), ("CU", {}, [])]))
@@ -280,14 +281,14 @@ class TestStep:
     def test_structure_preserved_on_random_systems(self):
         for seed in range(40):
             config, rules = random_system(seed)
-            count = len(config.by_id)
+            count = len(list(iter_membranes(config.skin)))
             rng = SplitMix64(seed)
             for _ in range(3):
                 result = step(config, rules, rng)
                 assert validate(result.config) == []
-                assert len(result.config.by_id) == count
-                assert sorted(m.label for m in result.config.by_id.values()) == \
-                    sorted(m.label for m in config.by_id.values())
+                assert len(list(iter_membranes(result.config.skin))) == count
+                assert sorted(m.label for m in iter_membranes(result.config.skin)) == \
+                    sorted(m.label for m in iter_membranes(config.skin))
                 if result.halted:
                     break
                 config = result.config

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmsim.core import MAX_COUNT, Multiset, Rule, RuleForm, structurally_equal
+from mmsim.core import MAX_COUNT, Multiset, Rule, RuleForm, iter_membranes, structurally_equal
 from mmsim.parser import KEYWORDS, Model, ParseError, lint, parse_model, rule_text, serialize_model
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -35,7 +35,7 @@ class TestParse:
 
     def test_preorder_ids_from_zero(self):
         model = parse_model("[skin: [a: [b: ]] [c: ]]")
-        ids = {m.label: m.id for m in model.config.by_id.values()}
+        ids = {m.label: m.id for m in iter_membranes(model.config.skin)}
         assert ids == {"skin": 0, "a": 1, "b": 2, "c": 3}
 
     def test_bare_symbol_means_one(self):
@@ -96,6 +96,34 @@ class TestParse:
             parse_model("# counts\n" + text)
         assert (err.value.line, err.value.column, err.value.message) == (2, column, message)
 
+    @pytest.mark.parametrize("text,line,column,message", [
+        ("[s: a\u00a0]", 1, 6, "unexpected character '\\xa0'"),
+        ("[s:\u2028a]", 1, 4, "unexpected character '\\u2028'"),
+        ("\t\t[s:\ta\t;]", 1, 9, "unexpected character ';'"),
+        ("[s: a]\r\n\r\n\t  x", 3, 4, "expected 'rule' or end of input, found 'x'"),
+        ("[s: a\r\n  ;]", 2, 3, "unexpected character ';'"),
+        ("# note ; here\n[s: a\n] ;", 3, 3, "unexpected character ';'"),
+        ("[s: a] # note\nrule", 2, 5, "expected rule id, found end of input"),
+        ("[s: a\n", 2, 1, "expected ']', found end of input"),
+        (b"[s: a]\n\xff", 2, 1, "invalid UTF-8 byte sequence"),
+        (b"[s:\n  a\xc3(]", 2, 4, "invalid UTF-8 byte sequence"),
+        ("[s: a]\n_1", 2, 1, "unexpected character '_'"),
+    ], ids=["nbsp", "line-separator", "after-tabs", "after-crlf", "crlf-then-bad",
+            "after-comment", "eof-after-comment", "eof-after-newline", "utf8-after-newline",
+            "utf8-mid-line", "underscore-digit"])
+    def test_lexer_error_positions(self, text, line, column, message):
+        with pytest.raises(ParseError) as err:
+            parse_model(text)
+        assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
+
+    @pytest.mark.parametrize("space", [" ", "\t", "\v", "\f", "\r", "\r\n", "\n"],
+                             ids=["space", "tab", "vtab", "formfeed", "cr", "crlf", "lf"])
+    def test_ascii_whitespace_separates_tokens(self, space):
+        model = parse_model(f"[s:{space}a{space}*{space}2{space}]{space}rule{space}r:"
+                            f"{space}in{space}s:a->b{space}")
+        assert model.config.skin.contents == Multiset({"a": 2})
+        assert [r.id for r in model.rules] == ["r"]
+
     @pytest.mark.parametrize("text,count", [
         ("[s: a*9223372036854775807]", MAX_COUNT),
         ("[s: a*4611686018427387903, a*4611686018427387904]", MAX_COUNT),
@@ -128,20 +156,22 @@ class TestSerialize:
             assert serialize_model(second) == text, path.name
 
     def test_corpus_error_lines(self, corpus_invalid):
-        expected_lines = {
-            "zero_count.mm": 3,
-            "unclosed.mm": 3,
-            "bad_token.mm": 1,
-            "dup_rule.mm": 3,
-            "missing_arrow.mm": 2,
-            "empty.mm": 1,
-            "keyword_label.mm": 1,
+        expected = {
+            "zero_count.mm": (3, 5, "count must be >= 1"),
+            "unclosed.mm": (3, 1, "expected ']', found end of input"),
+            "bad_token.mm": (1, 9, "unexpected character ';'"),
+            "dup_rule.mm": (3, 6, "duplicate rule id 'r1'"),
+            "missing_arrow.mm": (2, 21, "expected '->', found 'b'"),
+            "empty.mm": (1, 1, "expected '[', found end of input"),
+            "keyword_label.mm": (1, 2, "expected membrane label (keyword 'rule' is reserved),"
+                                       " found 'rule'"),
         }
-        assert {p.name for p in corpus_invalid} == set(expected_lines)
+        assert {p.name for p in corpus_invalid} == set(expected)
         for path in corpus_invalid:
             with pytest.raises(ParseError) as err:
                 parse_model(path.read_bytes())
-            assert err.value.line == expected_lines[path.name], path.name
+            position = (err.value.line, err.value.column, err.value.message)
+            assert position == expected[path.name], path.name
 
 
 # Random structurally valid models, for the round-trip law.
