@@ -15,7 +15,7 @@ from mmsim import (
     run,
 )
 
-spec = CouplingSpec(cycles=1)
+spec = CouplingSpec()
 rules = generate_carrier_protocol(spec)
 print(f"the protocol compiles to {len(rules)} ordinary rules:")
 for rule in rules:

@@ -26,8 +26,6 @@ from .core import (
     rewrite,
     send_in,
     send_out,
-    structurally_equal,
-    total_objects,
     validate,
 )
 from .engine import (

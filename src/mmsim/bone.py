@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .core import MAX_COUNT, Configuration, Membrane, Multiset, Rule, _Record, _set, rewrite
+from .core import MAX_COUNT, Rule, _Record, _set, build_configuration, rewrite
 from .coupling import CouplingSpec, generate_carrier_protocol
 from .engine import Trace, TraceStep
 from .parser import Model
@@ -119,7 +119,7 @@ def micro_rules(micro_label: str = "BMU", *, delivered: str = "_cb",
     )
 
 
-def unit_spec(unit: int, cycles: int) -> CouplingSpec:
+def unit_spec(unit: int) -> CouplingSpec:
     """The coupling spec of tissue unit *unit* (1-based)."""
     return CouplingSpec(
         macro_label=f"T{unit}",
@@ -128,7 +128,6 @@ def unit_spec(unit: int, cycles: int) -> CouplingSpec:
         carrier_label=f"V{unit}",
         payload_symbol="c",
         cycle_symbol="cyc",
-        cycles=cycles,
     )
 
 
@@ -139,38 +138,23 @@ def build_bone_model(params: BoneParams) -> Model:
     unit-indexed labels, so no token can ever flow between units.
     """
     tokens = encode_density(params.density, params.capacity)
-    next_id = 1  # pre-order after the skin, matching the parser's numbering
-    skin_children: list[Membrane] = []
+    bmu_stock = {sym: n for sym, n in ((OSTEOCLAST, params.oc), (OSTEOBLAST, params.ob)) if n}
+    skin_children: list[tuple] = []
     rules: list[Rule] = []
-
-    def membrane(label: str, contents, children=()) -> Membrane:
-        nonlocal next_id
-        m = Membrane(next_id, label, Multiset(contents), tuple(children))
-        next_id += 1
-        return m
-
     for unit in range(1, params.units + 1):
-        spec = unit_spec(unit, params.cycles)
-        tissue = membrane(spec.macro_label,
-                          {spec.payload_symbol: tokens} if tokens else {})
-        cu_id = next_id
-        next_id += 1
-        bmu_stock = {sym: n for sym, n in
-                     ((OSTEOCLAST, params.oc), (OSTEOBLAST, params.ob)) if n}
+        spec = unit_spec(unit)
         carrier_start = {spec.phase_symbols[0]: 1}
         if params.cycles:
             carrier_start[spec.cycle_symbol] = params.cycles
-        bmu = membrane(spec.micro_label, bmu_stock)
-        carrier = membrane(spec.carrier_label, carrier_start)
-        coupling = Membrane(cu_id, spec.coupling_label, Multiset(), (bmu, carrier))
-        skin_children.extend((tissue, coupling))
+        tissue = (spec.macro_label, {spec.payload_symbol: tokens} if tokens else None, ())
+        bmu = (spec.micro_label, bmu_stock, ())
+        carrier = (spec.carrier_label, carrier_start, ())
+        skin_children += [tissue, (spec.coupling_label, None, (bmu, carrier))]
         rules.extend(generate_carrier_protocol(spec))
         rules.extend(micro_rules(spec.micro_label,
                                  delivered=spec.cargo_delivered,
                                  remodelled=spec.cargo_remodelled))
-
-    skin = Membrane(0, "skin", Multiset(), tuple(skin_children))
-    return Model(Configuration(skin), tuple(rules), name="bone")
+    return Model(build_configuration(("skin", None, skin_children)), tuple(rules), name="bone")
 
 
 class DensitySampler:
@@ -193,7 +177,7 @@ class DensitySampler:
         self._started = False
         self._taken: set[int] = set()  # the units the last step sampled
         for unit in units:
-            spec = self._specs[unit] = unit_spec(unit, 0)
+            spec = self._specs[unit] = unit_spec(unit)
             self.series[unit] = []
             self._samples[spec.rule_id("deposit")] = unit
             self._samples[spec.rule_id("restart")] = unit
@@ -241,7 +225,7 @@ def transit_total(state: dict[str, dict[str, int]], unit: int) -> int:
     unit's four labels; the carrier protocol and the micro rules each
     preserve this number, so it is constant over every run.
     """
-    spec = unit_spec(unit, 0)
+    spec = unit_spec(unit)
     symbols = {spec.payload_symbol, *spec.cargo_symbols, FREE_SLOT}
     labels = (spec.macro_label, spec.micro_label, spec.coupling_label, spec.carrier_label)
     return sum(state.get(label, {}).get(sym, 0) for label in labels for sym in symbols)

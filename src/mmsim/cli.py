@@ -16,37 +16,17 @@ from collections import deque
 from typing import Callable, Iterator
 
 from .bone import BoneParams, DensitySampler, build_bone_model
-from .core import _Record, _set
 from .coupling import FIRST_CYCLE_EXTRA_STEPS, carrier_cycle_length
 from .engine import EngineError, EngineOptions, TraceStep, iter_steps, label_totals
 from .parser import Model, ParseError, lint, parse_model, serialize_model
 from .rng import RNG_ALGORITHM
 from .tracefile import model_hash, trace_lines
 
-__all__ = ["RunConfig", "cmd_validate", "cmd_run", "cmd_bone", "main"]
+__all__ = ["cmd_validate", "cmd_run", "cmd_bone", "main"]
 
 EXIT_OK = 0
 EXIT_MODEL = 1
 EXIT_IO = 2
-
-
-class RunConfig(_Record):
-    __slots__ = ("model_path", "seed", "max_steps", "trace_path", "snapshot_every",
-                 "self_check")
-
-    def __init__(self, model_path: str, seed: int = 0, max_steps: int = 10_000,
-                 trace_path: str | None = None, snapshot_every: int = 1,
-                 self_check: bool = True) -> None:
-        if max_steps < 0:
-            raise ValueError("max-steps must be >= 0")
-        if snapshot_every < 1:
-            raise ValueError("snapshot-every must be >= 1")
-        _set(self, "model_path", model_path)
-        _set(self, "seed", seed)
-        _set(self, "max_steps", max_steps)
-        _set(self, "trace_path", trace_path)
-        _set(self, "snapshot_every", snapshot_every)
-        _set(self, "self_check", self_check)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,19 +106,23 @@ def _state_summary(state: dict[str, dict[str, int]]) -> str:
     return json.dumps(state, sort_keys=True, separators=(",", ":"))
 
 
-def cmd_run(config: RunConfig) -> int:
+def cmd_run(path: str, seed: int, max_steps: int, trace_path: str | None,
+            snapshot_every: int, self_check: bool) -> int:
     """Run a model file and print a one-line summary."""
-    options = EngineOptions(seed=config.seed, self_check=config.self_check)
-    model, status = _load(config.model_path)
+    if max_steps < 0:
+        raise ValueError("max-steps must be >= 0")
+    if snapshot_every < 1:
+        raise ValueError("snapshot-every must be >= 1")
+    options = EngineOptions(seed=seed, self_check=self_check)
+    model, status = _load(path)
     if model is None:
         return status
     try:
-        steps = iter_steps(model, options, config.max_steps)
+        steps = iter_steps(model, options, max_steps)
     except EngineError as exc:
         return _engine_error(exc)
     last: deque[TraceStep] = deque(maxlen=1)
-    status = _drive(model, options, steps, last.append, config.trace_path,
-                    config.snapshot_every)
+    status = _drive(model, options, steps, last.append, trace_path, snapshot_every)
     if status != EXIT_OK:
         return status
     if last:
@@ -214,13 +198,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "validate":
             return cmd_validate(args.file)
         if args.command == "run":
-            config = RunConfig(args.file, seed=args.seed, max_steps=args.max_steps,
-                               trace_path=args.trace, snapshot_every=args.snapshot_every,
-                               self_check=not args.no_self_check)
-            return cmd_run(config)
-        config = BoneParams(capacity=args.capacity, density=args.density, oc=args.oc,
+            return cmd_run(args.file, args.seed, args.max_steps, args.trace,
+                           args.snapshot_every, not args.no_self_check)
+        params = BoneParams(capacity=args.capacity, density=args.density, oc=args.oc,
                             ob=args.ob, cycles=args.cycles, units=args.units)
-        return cmd_bone(config, seed=args.seed, emit_model=args.emit_model,
+        return cmd_bone(params, seed=args.seed, emit_model=args.emit_model,
                         trace_path=args.trace)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

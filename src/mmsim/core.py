@@ -29,6 +29,7 @@ from operator import attrgetter
 
 __all__ = [
     "MAX_COUNT",
+    "MAX_DEPTH",
     "is_symbol",
     "check_symbol",
     "is_reserved_symbol",
@@ -51,9 +52,7 @@ __all__ = [
     "find_membranes",
     "validate",
     "structural_violations",
-    "structurally_equal",
     "build_configuration",
-    "total_objects",
     "render_tree",
 ]
 
@@ -61,10 +60,17 @@ __all__ = [
 # exact in every JSON reader; exceeding it raises instead of wrapping.
 MAX_COUNT = (1 << 63) - 1
 
+# Membranes nest at most this many levels in model text, the skin being
+# level 1; the parser rejects deeper text with a positioned error, so the
+# recursive tree code behind it stays well inside Python's stack.
+MAX_DEPTH = 256
+
 # Symbols and membrane labels: optional leading underscores, then a letter,
 # then letters/digits/underscores.  A leading underscore marks the reserved
-# namespace used for machine-generated symbols (see mmsim.coupling).
-_SYMBOL_RE = re.compile(r"\A_*[A-Za-z][A-Za-z0-9_]*\Z")
+# namespace used for machine-generated symbols (see mmsim.coupling).  The
+# parser's lexer matches identifiers with the same pattern.
+_SYMBOL_PATTERN = r"_*[A-Za-z][A-Za-z0-9_]*"
+_SYMBOL_RE = re.compile(rf"\A{_SYMBOL_PATTERN}\Z")
 
 
 def is_symbol(name: object) -> bool:
@@ -328,14 +334,12 @@ def send_out(rule_id: str, subject: str, consumed, produced, promoter=None) -> R
 class RuleInstance(_Record):
     """A rule bound to concrete membrane ids; the unit of step selection."""
 
-    __slots__ = ("rule", "subject_id", "host_id", "parent_id")
+    __slots__ = ("rule", "subject_id", "host_id")
 
-    def __init__(self, rule: Rule, subject_id: int, host_id: int | None = None,
-                 parent_id: int | None = None) -> None:
+    def __init__(self, rule: Rule, subject_id: int, host_id: int | None = None) -> None:
         _set(self, "rule", rule)
         _set(self, "subject_id", subject_id)
         _set(self, "host_id", host_id)
-        _set(self, "parent_id", parent_id)
 
 
 class Membrane(_Record):
@@ -375,13 +379,6 @@ class Configuration(_Record):
         if violations:
             raise InvalidConfigurationError(violations)
         _set(self, "skin", skin)
-
-    @classmethod
-    def unchecked(cls, skin: Membrane) -> "Configuration":
-        """Skip construction checks. For tests seeding deliberate faults."""
-        cfg = object.__new__(cls)
-        _set(cfg, "skin", skin)
-        return cfg
 
 
 def iter_membranes(root: Membrane) -> Iterator[Membrane]:
@@ -432,17 +429,6 @@ def validate(config: Configuration) -> list[str]:
     return structural_violations(config.skin)
 
 
-def structurally_equal(a: Membrane | Configuration, b: Membrane | Configuration) -> bool:
-    """Equality up to membrane ids: labels, contents and tree shape."""
-    ma = a.skin if isinstance(a, Configuration) else a
-    mb = b.skin if isinstance(b, Configuration) else b
-    if ma.label != mb.label or ma.contents != mb.contents:
-        return False
-    if len(ma.children) != len(mb.children):
-        return False
-    return all(structurally_equal(ca, cb) for ca, cb in zip(ma.children, mb.children))
-
-
 NestedTree = tuple  # (label, contents-mapping-or-None, [child trees])
 
 
@@ -456,14 +442,9 @@ def build_configuration(tree: NestedTree) -> Configuration:
         label, contents, children = node
         mid = counter
         counter += 1
-        return Membrane(mid, label, as_multiset(contents), tuple(build(c) for c in children))
+        return Membrane(mid, label, contents, [build(c) for c in children])
 
     return Configuration(build(tree))
-
-
-def total_objects(config: Configuration) -> int:
-    """Total object count over every membrane in the tree."""
-    return sum(m.contents.total() for m in iter_membranes(config.skin))
 
 
 def render_tree(root: Membrane, indent: str = "") -> str:

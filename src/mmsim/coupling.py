@@ -72,20 +72,17 @@ class CouplingSpec(_Record):
     """
 
     __slots__ = ("macro_label", "micro_label", "coupling_label", "carrier_label",
-                 "payload_symbol", "cycle_symbol", "cycles")
+                 "payload_symbol", "cycle_symbol")
 
     def __init__(self, macro_label: str = "T", micro_label: str = "BMU",
                  coupling_label: str = "CU", carrier_label: str = "V",
-                 payload_symbol: str = "c", cycle_symbol: str = "cyc", cycles: int = 1) -> None:
+                 payload_symbol: str = "c", cycle_symbol: str = "cyc") -> None:
         _set(self, "macro_label", macro_label)
         _set(self, "micro_label", micro_label)
         _set(self, "coupling_label", coupling_label)
         _set(self, "carrier_label", carrier_label)
         _set(self, "payload_symbol", payload_symbol)
         _set(self, "cycle_symbol", cycle_symbol)
-        _set(self, "cycles", cycles)
-        if self.cycles < 0:
-            raise ValueError("cycles must be >= 0")
         labels = (self.macro_label, self.micro_label, self.coupling_label, self.carrier_label)
         user_symbols = labels + (self.payload_symbol, self.cycle_symbol)
         for name in user_symbols:

@@ -366,8 +366,8 @@ def _enumerate(state: _State, table: _Table) -> list[tuple]:
 
 
 def _instance(cand: tuple) -> RuleInstance:
-    _, sid, hid, pid, _, _, _, e = cand
-    return RuleInstance(e.rule, sid, host_id=hid, parent_id=pid)
+    _, sid, hid, _, _, _, _, e = cand
+    return RuleInstance(e.rule, sid, host_id=hid)
 
 
 def enumerate_instances(config: Configuration, rules: Sequence[Rule]) -> list[RuleInstance]:

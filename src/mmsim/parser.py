@@ -15,12 +15,13 @@ inside tokens)::
                | 'send-out' label ':' contents '->' rhs
     rhs       := contents | '()'          # '()' is the empty multiset
 
-Membrane ids are assigned by the parser in pre-order starting at 0; users
-address membranes by label only.  Zero counts, and counts of one symbol
-that add up to more than ``MAX_COUNT`` in one multiset, are rejected at
-parse time.  Tokens carry only their character offset; the line and
-column of a :class:`ParseError` are counted from the text when it is
-raised.
+The parser hands the membrane tree to ``build_configuration``, which
+assigns ids in pre-order starting at 0; users address membranes by label
+only.  Membranes nest at most ``MAX_DEPTH`` (256) levels, the skin being
+level 1.  Zero counts, and counts of one symbol that add up to more than
+``MAX_COUNT`` in one multiset, are rejected at parse time.  Tokens carry
+only their character offset; the line and column of a :class:`ParseError`
+are counted from the text when it is raised.
 Serialization is canonical: membranes in stored order, multiset entries in
 lexicographic symbol order, rules in stored order, so equal models always
 produce byte-identical text.
@@ -32,15 +33,20 @@ import re
 from typing import Iterator
 
 from .core import (
+    _SYMBOL_PATTERN,
     EMPTY,
     MAX_COUNT,
+    MAX_DEPTH,
     Configuration,
     Membrane,
     Multiset,
+    NestedTree,
     Rule,
     RuleForm,
     _Record,
     _set,
+    _wrap,
+    build_configuration,
     iter_membranes,
 )
 
@@ -85,14 +91,15 @@ class Model(_Record):
 # Whitespace matches no alternative, so the scan skips it; a comment
 # matches the one unnamed alternative and is dropped; any other character
 # that starts no token is ``bad``.  ASCII whitespace only: ``\s`` would also
-# accept characters such as U+00A0 and U+2028.
+# accept characters such as U+00A0 and U+2028.  An ``ident`` is exactly a
+# core symbol.
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
       \#[^\n]*
     | (?P<arrow>->)
     | (?P<unit>\(\))
     | (?P<sendkw>send-(?:in|out)\b)
-    | (?P<ident>_*[A-Za-z][A-Za-z0-9_]*)
+    | (?P<ident>{_SYMBOL_PATTERN})
     | (?P<int>[0-9]+)
     | (?P<punct>[\[\]:,*])
     | (?P<bad>[^ \t\r\n\f\v])
@@ -129,7 +136,6 @@ class _Parser:
         self.tokens = list(_tokenize(text))
         self.pos = 0
         self.cur = self.tokens[0]
-        self.next_membrane_id = 0
 
     def advance(self) -> tuple[str, str, int]:
         tok = self.cur
@@ -170,20 +176,23 @@ class _Parser:
     # -- grammar productions -------------------------------------------------
 
     def model(self) -> Model:
-        skin = self.membrane()
+        skin = self.membrane(1)
         rules: list[Rule] = []
         ids: set[str] = set()
         while self.at_word("rule"):
             rules.append(self.rule(ids))
         if self.cur[0] != "eof":
             raise self.error("expected 'rule' or end of input")
-        return Model(Configuration(skin), tuple(rules))
+        return Model(build_configuration(skin), tuple(rules))
 
-    def membrane(self) -> Membrane:
+    def membrane(self, depth: int) -> NestedTree:
+        """The ``(label, contents, children)`` tree of the membrane at
+        nesting level *depth*."""
+        if depth > MAX_DEPTH:
+            raise _error_at(self.text, self.cur[2],
+                            f"membranes nest deeper than {MAX_DEPTH} levels")
         self.expect("[", "'['")
         label = self.name("membrane label")
-        mid = self.next_membrane_id
-        self.next_membrane_id += 1
         contents = EMPTY
         if self.cur[0] == ":":
             self.advance()
@@ -191,9 +200,9 @@ class _Parser:
                 contents = self.contents()
         children = []
         while self.cur[0] == "[":
-            children.append(self.membrane())
+            children.append(self.membrane(depth + 1))
         self.expect("]", "']'")
-        return Membrane(mid, label, contents, tuple(children))
+        return label, contents, children
 
     def contents(self) -> Multiset:
         counts: dict[str, int] = {}
@@ -220,7 +229,8 @@ class _Parser:
             if self.cur[0] != ",":
                 break
             self.advance()
-        return Multiset(counts)
+        # Every symbol and count was checked above.
+        return _wrap(counts)
 
     def rhs(self) -> Multiset:
         if self.cur[0] == "unit":

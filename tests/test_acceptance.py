@@ -207,7 +207,7 @@ def test_criterion_8_drain_completeness():
         for params in BONE_CASES:
             trace, _ = bone_trace(**params)
             for unit in range(1, params.get("units", 1) + 1):
-                spec = unit_spec(unit, 0)
+                spec = unit_spec(unit)
                 for i, trace_step in enumerate(trace.steps[:-1]):
                     carrier = trace_step.state.get(spec.carrier_label, {})
                     if carrier.get("p2", 0):

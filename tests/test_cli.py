@@ -14,7 +14,7 @@ import pytest
 import mmsim
 from mmsim.bone import BoneParams, build_bone_model, density_series
 from mmsim.cli import main
-from mmsim.core import MAX_COUNT
+from mmsim.core import MAX_COUNT, MAX_DEPTH
 from mmsim.engine import EngineOptions, run
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -167,6 +167,22 @@ class TestRun:
         assert [r["step"] for r in records] == list(range(failing_step))
         assert "state" in records[-1]  # the last line always carries its state
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--max-steps", "-1"], "max-steps must be >= 0"),
+        (["--max-steps", "-1", "--trace"], "max-steps must be >= 0"),
+        (["--snapshot-every", "0"], "snapshot-every must be >= 1"),
+        (["--snapshot-every", "0", "--trace"], "snapshot-every must be >= 1"),
+    ], ids=["max-steps", "max-steps-trace", "snapshot-every", "snapshot-every-trace"])
+    def test_bad_step_flag_is_one_error_line(self, flags, message, tmp_path, capsys):
+        trace = tmp_path / "run.jsonl"
+        if flags[-1] == "--trace":
+            flags = [*flags, str(trace)]
+        assert main(["run", str(BONE), *flags]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {message}\n"
+        assert not trace.exists()
+
     @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
     def test_seed_outside_unsigned_64_bits_is_one_error_line(self, seed, capsys):
         assert main(["run", str(BONE), "--seed", seed]) == 1
@@ -273,6 +289,39 @@ def test_unwritable_trace_path_is_one_io_error_line(command, tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.count("\n") == 1 and out.err.startswith(f"{trace}: error: ")
+
+
+def nested_chain(depth: int) -> str:
+    """``[a: x [a: x ... ]]``: *depth* membranes, each inside the last."""
+    return "[a: x " * depth + "]" * depth + "\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_nesting_past_max_depth_is_one_error_line(command, tmp_path, capsys):
+    model = tmp_path / "deep.mm"
+    model.write_text(nested_chain(1200))
+    assert main([command, str(model)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    # The '[' that opens level MAX_DEPTH + 1.
+    column = MAX_DEPTH * len("[a: x ") + 1
+    assert out.err == (f"{model}:1:{column}: error: "
+                       f"membranes nest deeper than {MAX_DEPTH} levels\n")
+
+
+@pytest.mark.parametrize("command", [["validate"], ["run", "--trace"]])
+def test_nesting_at_max_depth_runs(command, tmp_path, capsys):
+    model, trace = tmp_path / "deep.mm", tmp_path / "deep.jsonl"
+    model.write_text(nested_chain(MAX_DEPTH))
+    argv = [command[0], str(model), *command[1:]]
+    if command[-1] == "--trace":
+        argv.append(str(trace))
+    assert main(argv) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    if command[0] == "run":
+        assert out.out == f'steps=1 halted=true state={{"a":{{"x":{MAX_DEPTH}}}}}\n'
+        assert len(trace.read_text().splitlines()) == 2
 
 
 def test_cli_import_loads_neither_dataclasses_nor_the_oracle():

@@ -39,10 +39,6 @@ class TestSpec:
         with pytest.raises(ValueError):
             CouplingSpec(macro_label="X", micro_label="X")
 
-    def test_negative_cycles_rejected(self):
-        with pytest.raises(ValueError):
-            CouplingSpec(cycles=-1)
-
 
 class TestProtocol:
     def test_emits_nineteen_rules_over_the_four_labels(self):

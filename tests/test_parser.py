@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmsim.core import MAX_COUNT, Multiset, Rule, RuleForm, iter_membranes, structurally_equal
+from mmsim.bone import BoneParams, build_bone_model
+from mmsim.core import MAX_COUNT, MAX_DEPTH, Multiset, Rule, RuleForm, iter_membranes
 from mmsim.parser import KEYWORDS, Model, ParseError, lint, parse_model, rule_text, serialize_model
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -138,6 +139,13 @@ class TestSerialize:
         model = parse_model("[skin: ]")
         assert serialize_model(model) == "[skin: ]\n"
 
+    def test_nesting_past_max_depth_is_positioned(self):
+        depth = MAX_DEPTH + 1
+        with pytest.raises(ParseError) as err:
+            parse_model("[s:\n" * depth + "]" * depth)
+        position = (err.value.line, err.value.column, err.value.message)
+        assert position == (depth, 1, f"membranes nest deeper than {MAX_DEPTH} levels")
+
     def test_lexicographic_contents(self):
         model = parse_model("[skin: b, a*2]")
         assert serialize_model(model) == "[skin: a*2, b]\n"
@@ -151,9 +159,23 @@ class TestSerialize:
             first = parse_model(path.read_bytes())
             text = serialize_model(first)
             second = parse_model(text)
-            assert structurally_equal(first.config, second.config), path.name
+            assert (serialize_model(Model(first.config))
+                    == serialize_model(Model(second.config))), path.name
             assert first.rules == second.rules, path.name
             assert serialize_model(second) == text, path.name
+
+    def test_parsed_multisets_are_checked_multisets(self, corpus_valid):
+        # The parser builds multisets from counts it checked itself; each
+        # must equal the multiset built through every constructor check.
+        texts = [path.read_bytes() for path in corpus_valid]
+        texts.append(serialize_model(build_bone_model(BoneParams(oc=3, ob=1, units=50))))
+        for text in texts:
+            model = parse_model(text)
+            multisets = [m.contents for m in iter_membranes(model.config.skin)]
+            for rule in model.rules:
+                multisets += [rule.consumed, rule.produced, rule.promoter or Multiset()]
+            for ms in multisets:
+                assert ms == Multiset(dict(ms))
 
     def test_corpus_error_lines(self, corpus_invalid):
         expected = {
@@ -206,7 +228,7 @@ def models(draw) -> Model:
 def test_random_model_round_trip(model):
     text = serialize_model(model)
     back = parse_model(text)
-    assert structurally_equal(model.config, back.config)
+    assert serialize_model(Model(model.config)) == serialize_model(Model(back.config))
     assert back.rules == model.rules
     assert serialize_model(back) == text
 
@@ -224,8 +246,6 @@ def test_fuzz_bytes_never_crash(data):
 
 class TestLint:
     def test_bone_model_is_clean(self):
-        from mmsim.bone import BoneParams, build_bone_model
-
         assert lint(build_bone_model(BoneParams(oc=3, ob=1, cycles=2, units=2))) == []
 
     def test_self_entry_warning(self):

@@ -10,7 +10,6 @@ import pickle
 import pytest
 
 from mmsim.bone import BoneParams
-from mmsim.cli import RunConfig
 from mmsim.core import EMPTY, Configuration, Membrane, Multiset, Rule, RuleForm, RuleInstance
 from mmsim.coupling import CouplingSpec
 from mmsim.engine import AppliedRule, EngineOptions, StepResult, Trace, TraceStep
@@ -32,21 +31,14 @@ _RULE_REPR = ("Rule(id='r', form=<RuleForm.REWRITE: 'in'>, subject='T', "
 # (class, fields with one value each, number of required fields, defaults
 # of the rest, whether a value is hashable, repr of the value)
 CASES = [
-    (RunConfig,
-     dict(model_path="m.mm", seed=3, max_steps=5, trace_path="t.jsonl",
-          snapshot_every=2, self_check=False),
-     1, dict(seed=0, max_steps=10_000, trace_path=None, snapshot_every=1, self_check=True),
-     True,
-     "RunConfig(model_path='m.mm', seed=3, max_steps=5, trace_path='t.jsonl', "
-     "snapshot_every=2, self_check=False)"),
     (Rule,
      dict(id="r", form=RuleForm.REWRITE, subject="T", consumed=Multiset({"c": 1}),
           produced=Multiset({"d": 1}), host=None, promoter=None),
      5, dict(host=None, promoter=None), True, _RULE_REPR),
     (RuleInstance,
-     dict(rule=_rule, subject_id=1, host_id=None, parent_id=0),
-     2, dict(host_id=None, parent_id=None), True,
-     f"RuleInstance(rule={_RULE_REPR}, subject_id=1, host_id=None, parent_id=0)"),
+     dict(rule=_rule, subject_id=1, host_id=2),
+     2, dict(host_id=None), True,
+     f"RuleInstance(rule={_RULE_REPR}, subject_id=1, host_id=2)"),
     (Membrane,
      dict(id=0, label="skin", contents=EMPTY, children=(_leaf,)),
      2, dict(contents=EMPTY, children=()), True, _MEMBRANE_REPR),
@@ -63,7 +55,7 @@ CASES = [
      dict(config=_config, applied=((_instance, 2),), halted=False),
      3, {}, True,
      f"StepResult(config=Configuration(skin={_MEMBRANE_REPR}), applied=((RuleInstance("
-     f"rule={_RULE_REPR}, subject_id=1, host_id=None, parent_id=None), 2),), halted=False)"),
+     f"rule={_RULE_REPR}, subject_id=1, host_id=None), 2),), halted=False)"),
     (AppliedRule,
      dict(rule="r", subject=1, host=None, count=2),
      4, {}, True, "AppliedRule(rule='r', subject=1, host=None, count=2)"),
@@ -85,11 +77,11 @@ CASES = [
      "BoneParams(capacity=10, density=0.25, oc=1, ob=2, cycles=3, units=4)"),
     (CouplingSpec,
      dict(macro_label="T1", micro_label="BMU1", coupling_label="CU1", carrier_label="V1",
-          payload_symbol="m", cycle_symbol="k", cycles=2),
+          payload_symbol="m", cycle_symbol="k"),
      0, dict(macro_label="T", micro_label="BMU", coupling_label="CU", carrier_label="V",
-             payload_symbol="c", cycle_symbol="cyc", cycles=1), True,
+             payload_symbol="c", cycle_symbol="cyc"), True,
      "CouplingSpec(macro_label='T1', micro_label='BMU1', coupling_label='CU1', "
-     "carrier_label='V1', payload_symbol='m', cycle_symbol='k', cycles=2)"),
+     "carrier_label='V1', payload_symbol='m', cycle_symbol='k')"),
 ]
 
 
