@@ -30,6 +30,7 @@ from .core import (
 )
 from .engine import (
     CountOverflow,
+    DepthExceeded,
     EngineError,
     EngineOptions,
     InstanceBoundExceeded,

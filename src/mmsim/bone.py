@@ -154,7 +154,7 @@ def build_bone_model(params: BoneParams) -> Model:
         rules.extend(micro_rules(spec.micro_label,
                                  delivered=spec.cargo_delivered,
                                  remodelled=spec.cargo_remodelled))
-    return Model(build_configuration(("skin", None, skin_children)), tuple(rules), name="bone")
+    return Model(build_configuration(("skin", None, skin_children)), tuple(rules))
 
 
 class DensitySampler:

@@ -60,10 +60,10 @@ __all__ = [
 # exact in every JSON reader; exceeding it raises instead of wrapping.
 MAX_COUNT = (1 << 63) - 1
 
-# Membranes nest at most this many levels in model text, the skin being
-# level 1; the parser rejects deeper text with a positioned error, so the
-# recursive tree code behind it stays well inside Python's stack.
-MAX_DEPTH = 256
+# Membranes nest at most this many levels, the skin being level 1.  Model
+# text, Configuration and the engine's moves keep to it, so the recursive
+# tree code (record equality, hash and repr among it) fits Python's stack.
+MAX_DEPTH = 128
 
 # Symbols and membrane labels: optional leading underscores, then a letter,
 # then letters/digits/underscores.  A leading underscore marks the reserved
@@ -138,10 +138,6 @@ class Multiset(Mapping):
 
     def __bool__(self) -> bool:
         return bool(self._counts)
-
-    def total(self) -> int:
-        """Total number of objects, counting multiplicity."""
-        return sum(self._counts.values())
 
     def contains(self, other: "Multiset") -> bool:
         """Multiset containment: every count in *other* fits inside self."""
@@ -396,18 +392,21 @@ def find_membranes(config: Configuration, label: str) -> tuple[int, ...]:
 
 
 def structural_violations(root: Membrane) -> list[str]:
-    """All structural faults in a membrane tree.
-
-    Checks id uniqueness, tree-ness (no membrane object reachable twice)
-    and the absence of non-positive object counts.  An empty list means
-    the tree is valid.
+    """All faults that only a whole membrane tree can have: duplicate ids,
+    a membrane object reachable twice, and nesting deeper than
+    ``MAX_DEPTH`` levels (the walk does not descend past it).  Labels and
+    counts are checked by the ``Membrane`` and ``Multiset`` constructors.
+    An empty list means the tree is valid.
     """
     violations: list[str] = []
     seen_ids: set[int] = set()
     seen_objects: set[int] = set()
-    stack = [root]
+    stack = [(root, 1)]
     while stack:
-        m = stack.pop()
+        m, level = stack.pop()
+        if level > MAX_DEPTH:
+            violations.append(f"too-deep: membrane {m.id} nests deeper than {MAX_DEPTH} levels")
+            continue
         if id(m) in seen_objects:
             violations.append(f"shared-membrane: membrane id {m.id} reachable twice")
             continue
@@ -415,12 +414,7 @@ def structural_violations(root: Membrane) -> list[str]:
         if m.id in seen_ids:
             violations.append(f"duplicate-id: {m.id}")
         seen_ids.add(m.id)
-        if not is_symbol(m.label):
-            violations.append(f"bad-label: membrane {m.id} has label {m.label!r}")
-        for sym, n in m.contents._counts.items():
-            if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
-                violations.append(f"zero-count: membrane {m.id} stores {sym}*{n}")
-        stack.extend(reversed(m.children))
+        stack.extend((c, level + 1) for c in reversed(m.children))
     return violations
 
 
@@ -434,17 +428,20 @@ NestedTree = tuple  # (label, contents-mapping-or-None, [child trees])
 
 def build_configuration(tree: NestedTree) -> Configuration:
     """Build a configuration from nested ``(label, contents, children)``
-    tuples, assigning ids in pre-order starting at 0."""
+    tuples, assigning ids in pre-order starting at 0.  A tree nesting
+    deeper than ``MAX_DEPTH`` raises ``ValueError``."""
     counter = 0
 
-    def build(node: NestedTree) -> Membrane:
+    def build(node: NestedTree, level: int) -> Membrane:
         nonlocal counter
+        if level > MAX_DEPTH:
+            raise ValueError(f"membranes nest deeper than {MAX_DEPTH} levels")
         label, contents, children = node
         mid = counter
         counter += 1
-        return Membrane(mid, label, contents, [build(c) for c in children])
+        return Membrane(mid, label, contents, [build(c, level + 1) for c in children])
 
-    return Configuration(build(tree))
+    return Configuration(build(tree, 1))
 
 
 def render_tree(root: Membrane, indent: str = "") -> str:

@@ -63,6 +63,7 @@ from typing import Iterator, Sequence
 
 from .core import (
     MAX_COUNT,
+    MAX_DEPTH,
     _set,
     _Record,
     Configuration,
@@ -80,6 +81,7 @@ __all__ = [
     "EngineError",
     "InstanceBoundExceeded",
     "CountOverflow",
+    "DepthExceeded",
     "SelfCheckViolation",
     "EngineOptions",
     "StepResult",
@@ -102,12 +104,16 @@ class EngineError(RuntimeError):
 
 
 class InstanceBoundExceeded(EngineError):
-    """More candidate applications than the configured safety bound."""
+    """More applicable instances in one step than ``max_instances_per_step``."""
 
 
 class CountOverflow(EngineError):
     """An object count, or a label's total of one symbol, would exceed
     ``MAX_COUNT``."""
+
+
+class DepthExceeded(EngineError):
+    """An endo move would nest a membrane deeper than ``MAX_DEPTH``."""
 
 
 class SelfCheckViolation(EngineError):
@@ -381,8 +387,7 @@ def enumerate_instances(config: Configuration, rules: Sequence[Rule]) -> list[Ru
 # ---------------------------------------------------------------------------
 # Maximal selection
 
-def _select_maximal(state: _State, candidates: list[tuple], rng: SplitMix64,
-                    options: EngineOptions
+def _select_maximal(state: _State, candidates: list[tuple], rng: SplitMix64
                     ) -> tuple[dict[int, dict[str, int]], set[int], list[int]]:
     """A maximal multiset chosen greedily in seeded-shuffle order.
 
@@ -395,10 +400,8 @@ def _select_maximal(state: _State, candidates: list[tuple], rng: SplitMix64,
     order = list(range(len(candidates)))
     rng.shuffle(order)
     contents = state.contents
-    limit = options.max_instances_per_step
     residual: dict[int, dict[str, int]] = {}
     locked: set[int] = set()
-    total = 0
     counts = [0] * len(candidates)
     # One pass is maximal: residuals only shrink and locks only grow, so an
     # instance that does not fit when visited never fits later.
@@ -423,10 +426,6 @@ def _select_maximal(state: _State, candidates: list[tuple], rng: SplitMix64,
         if locks is not None:
             k = 1
             locked.update(locks)
-        total += k
-        if total > limit:
-            raise InstanceBoundExceeded(
-                f"step would apply more than {limit} instances; runaway model?")
         if fresh:
             left = residual[source] = dict(left)
         for sym, n in consumed:
@@ -464,6 +463,7 @@ def _apply(state: _State, applied: Sequence[tuple[tuple, int]]) -> None:
                 del total[sym]
         changed.add(label)
     moves: list[tuple[int, int]] = []
+    entered: list[int] = []
     for (_, sid, hid, pid, _, _, locks, e), k in applied:
         if e.produced:
             sink = pid if e.form is RuleForm.SEND_OUT else sid
@@ -486,11 +486,26 @@ def _apply(state: _State, applied: Sequence[tuple[tuple, int]]) -> None:
             # EXO leaves the host for the host's parent; every target is read
             # before any move below changes a parent.
             moves.append((sid, hid if e.form is RuleForm.ENDO else parent[hid]))
+            if e.form is RuleForm.ENDO:
+                entered.append(sid)
 
     for child, new_parent in moves:
         children[parent[child]].remove(child)
         children[new_parent].append(child)
         parent[child] = new_parent
+    # Only an endo move deepens the tree; every parent is final here.
+    for mid in entered:
+        level, up = 1, parent[mid]
+        while up is not None:
+            level += 1
+            up = parent[up]
+        stack = [(mid, level)]
+        while stack:
+            m, level = stack.pop()
+            if level > MAX_DEPTH:
+                raise DepthExceeded(
+                    f"an endo move nests membrane {m} deeper than {MAX_DEPTH} levels")
+            stack.extend((c, level + 1) for c in children[m])
 
 
 def _structural_violations(state: _State) -> list[str]:
@@ -557,7 +572,7 @@ def _step(state: _State, table: _Table, rng: SplitMix64,
             f"{options.max_instances_per_step}")
     if not candidates:
         return []
-    residual, locked, counts = _select_maximal(state, candidates, rng, options)
+    residual, locked, counts = _select_maximal(state, candidates, rng)
     if options.self_check:
         _check_maximal(candidates, state.contents, residual, locked)
     applied = [(cand, k) for cand, k in zip(candidates, counts) if k]

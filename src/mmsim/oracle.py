@@ -15,7 +15,7 @@ Inputs with more applicable instances than ``bound`` are rejected.
 
 from __future__ import annotations
 
-from .core import Configuration, Membrane, Rule, RuleForm
+from .core import Configuration, Rule, RuleForm, iter_membranes
 
 __all__ = ["OracleBoundExceeded", "canonical_form", "oracle_successors"]
 
@@ -29,12 +29,17 @@ class OracleBoundExceeded(ValueError):
 def canonical_form(config: Configuration) -> Canon:
     """Nested-tuple form of a configuration: labels, contents and shape,
     ids erased, children sorted."""
+    net = _Net(config)
+    return _canon(net.labels, net.contents, net.children, net.root)
 
-    def canon(m: Membrane) -> Canon:
-        kids = tuple(sorted(canon(c) for c in m.children))
-        return (m.label, tuple(sorted(m.contents.items())), kids)
 
-    return canon(config.skin)
+def _canon(labels: dict[int, str], contents: dict[int, dict[str, int]],
+           children: dict[int, list[int]], mid: int) -> Canon:
+    """The canonical form of the flat subtree at *mid*; zero counts are
+    dropped."""
+    items = tuple(sorted((s, n) for s, n in contents[mid].items() if n))
+    kids = tuple(sorted(_canon(labels, contents, children, c) for c in children[mid]))
+    return (labels[mid], items, kids)
 
 
 class _Net:
@@ -44,18 +49,14 @@ class _Net:
         self.labels: dict[int, str] = {}
         self.contents: dict[int, dict[str, int]] = {}
         self.children: dict[int, list[int]] = {}
-        self.parent: dict[int, int | None] = {}
         self.root = config.skin.id
-
-        def walk(m, parent_id):
+        self.parent: dict[int, int | None] = {self.root: None}
+        for m in iter_membranes(config.skin):
             self.labels[m.id] = m.label
             self.contents[m.id] = dict(m.contents.items())
             self.children[m.id] = [c.id for c in m.children]
-            self.parent[m.id] = parent_id
             for c in m.children:
-                walk(c, m.id)
-
-        walk(config.skin, None)
+                self.parent[c.id] = m.id
 
 
 class _Binding:
@@ -131,12 +132,7 @@ def _successor(net: _Net, counts: list[int], bindings: list[_Binding]) -> Canon:
         children[parent[b.subject]].remove(b.subject)
         children[target].append(b.subject)
         parent[b.subject] = target
-
-    def canon(mid: int) -> Canon:
-        items = tuple(sorted((s, n) for s, n in contents[mid].items() if n))
-        return (net.labels[mid], items, tuple(sorted(canon(c) for c in children[mid])))
-
-    return canon(net.root)
+    return _canon(net.labels, contents, children, net.root)
 
 
 def oracle_successors(config: Configuration, rules, bound: int = 64) -> set[Canon]:
@@ -151,7 +147,7 @@ def oracle_successors(config: Configuration, rules, bound: int = 64) -> set[Cano
         raise OracleBoundExceeded(
             f"{len(bindings)} applicable instances exceed the oracle bound {bound}")
     if not bindings:
-        return {canonical_form(config)}
+        return {_canon(net.labels, net.contents, net.children, net.root)}
 
     # For each binding, whether any later binding competes for the same
     # resources or locks; if none does, only full multiplicity can be maximal.

@@ -17,11 +17,12 @@ inside tokens)::
 
 The parser hands the membrane tree to ``build_configuration``, which
 assigns ids in pre-order starting at 0; users address membranes by label
-only.  Membranes nest at most ``MAX_DEPTH`` (256) levels, the skin being
-level 1.  Zero counts, and counts of one symbol that add up to more than
-``MAX_COUNT`` in one multiset, are rejected at parse time.  Tokens carry
-only their character offset; the line and column of a :class:`ParseError`
-are counted from the text when it is raised.
+only.  Membranes nest at most ``MAX_DEPTH`` (128) levels, the skin being
+level 1, and runs keep to the same limit.  Zero counts, and counts of one
+symbol that add up to more than ``MAX_COUNT`` in one multiset, are
+rejected at parse time.  Tokens carry only their character offset; the
+line and column of a :class:`ParseError` are counted from the text when
+it is raised.
 Serialization is canonical: membranes in stored order, multiset entries in
 lexicographic symbol order, rules in stored order, so equal models always
 produce byte-identical text.
@@ -70,10 +71,9 @@ class ParseError(ValueError):
 class Model(_Record):
     """A membrane structure plus its rule set."""
 
-    __slots__ = ("config", "rules", "name")
+    __slots__ = ("config", "rules")
 
-    def __init__(self, config: Configuration, rules: tuple[Rule, ...] = (),
-                 name: str | None = None) -> None:
+    def __init__(self, config: Configuration, rules: tuple[Rule, ...] = ()) -> None:
         rules = tuple(rules)
         seen: set[str] = set()
         for rule in rules:
@@ -82,7 +82,6 @@ class Model(_Record):
             seen.add(rule.id)
         _set(self, "config", config)
         _set(self, "rules", rules)
-        _set(self, "name", name)
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,24 @@ class TestRun:
         out = capsys.readouterr()
         assert out.err.count("\n") == 1 and out.err.startswith("error: step 1: ")
 
+    def test_runaway_growth_ends_in_one_count_overflow_line(self, tmp_path, capsys):
+        model = tmp_path / "double.mm"
+        model.write_text("[skin: a]\nrule g: in skin: a -> a*2\n")
+        assert main(["run", str(model)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (f"error: step 62: rule 'g' would raise the total of 'a' in "
+                           f"label 'skin' above {MAX_COUNT}\n")
+
+    def test_large_multiplicity_is_one_instance(self, tmp_path, capsys):
+        # Two million copies of one binding are one applicable instance.
+        model = tmp_path / "many.mm"
+        model.write_text("[skin: a*2000000]\nrule r: in skin: a -> b\n")
+        assert main(["run", str(model)]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert out.out == 'steps=2 halted=true state={"skin":{"b":2000000}}\n'
+
     @pytest.mark.parametrize("max_steps", ["0", "10"])
     def test_label_total_overflow_at_start_is_one_error_line(self, max_steps, tmp_path, capsys):
         model = tmp_path / "totals.mm"
@@ -196,6 +214,13 @@ class TestBone:
         assert main(["bone", "--density", "0.5", "--capacity", "20",
                      "--oc", "3", "--ob", "1", "--cycles", "1"]) == 0
         assert capsys.readouterr().out == "unit,cycle,density\n1,1,0.4\n"
+
+    def test_large_capacity_row(self, capsys):
+        assert main(["bone", "--capacity", "2000000", "--density", "1", "--cycles", "1",
+                     "--oc", "3", "--ob", "1"]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert out.out == "unit,cycle,density\n1,1,0.999999\n"
 
     def test_inert_micro_three_rows(self, capsys):
         assert main(["bone", "--oc", "0", "--ob", "0", "--cycles", "3"]) == 0

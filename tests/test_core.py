@@ -118,7 +118,7 @@ class TestMultiset:
 
     @given(multisets, multisets)
     def test_total_additive(self, a, b):
-        assert (a + b).total() == a.total() + b.total()
+        assert sum((a + b).values()) == sum(a.values()) + sum(b.values())
 
 
 class TestRule:
@@ -179,12 +179,6 @@ class TestConfiguration:
     def test_duplicate_id_rejected_at_construction(self):
         with pytest.raises(ValueError):
             Configuration(Membrane(0, "skin", Multiset(), (Membrane(1, "a"), Membrane(1, "b"))))
-
-    def test_zero_count_detected(self):
-        ms = Multiset({"c": 1})
-        ms._counts["c"] = 0  # simulate internal corruption
-        hostile = Membrane(0, "skin", ms)
-        assert any(v.startswith("zero-count") for v in structural_violations(hostile))
 
     def test_shared_subtree_detected(self):
         shared = Membrane(1, "a")

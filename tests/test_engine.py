@@ -261,7 +261,9 @@ class TestStep:
         assert label_totals(result.config)["V"] == {"p1": 1, "y": 1}
 
     def test_instance_bound_enforced(self):
-        model = drain_model()
+        # Six distinct instances, one per V; a multiplicity is not counted.
+        model = parse_model("[skin: c*10 [V:] [V:] [V:] [V:] [V:] [V:]] "
+                            "rule load: send-in V: c -> cl")
         with pytest.raises(InstanceBoundExceeded):
             step(model.config, model.rules, SplitMix64(0),
                  EngineOptions(max_instances_per_step=5))
@@ -361,7 +363,9 @@ class TestRun:
                 self.assert_run_is_chained_steps(model, seed, 200)
 
     def test_failure_carries_step_index(self):
-        model = parse_model("[skin: a] rule g: in skin: a -> b*9 rule h: in skin: b -> c")
+        # Step 1 binds h to each of the six V membranes.
+        model = parse_model("[skin: a [V:] [V:] [V:] [V:] [V:] [V:]] "
+                            "rule g: in skin: a -> b rule h: send-in V: b -> c")
         options = EngineOptions(max_instances_per_step=5)
         with pytest.raises(InstanceBoundExceeded) as failure:
             run(model, options)

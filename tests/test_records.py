@@ -44,9 +44,9 @@ CASES = [
      2, dict(contents=EMPTY, children=()), True, _MEMBRANE_REPR),
     (Configuration, dict(skin=_skin), 1, {}, True, f"Configuration(skin={_MEMBRANE_REPR})"),
     (Model,
-     dict(config=_config, rules=(_rule,), name="m"),
-     1, dict(rules=(), name=None), True,
-     f"Model(config=Configuration(skin={_MEMBRANE_REPR}), rules=({_RULE_REPR},), name='m')"),
+     dict(config=_config, rules=(_rule,)),
+     1, dict(rules=()), True,
+     f"Model(config=Configuration(skin={_MEMBRANE_REPR}), rules=({_RULE_REPR},))"),
     (EngineOptions,
      dict(seed=7, max_instances_per_step=9, self_check=False),
      0, dict(seed=0, max_instances_per_step=1_000_000, self_check=True), True,
