@@ -2,15 +2,17 @@
 
 Exit codes are uniform across subcommands: 0 success, 1 domain or model
 error (syntax, lint findings, bad parameters, engine failures), 2 I/O
-error.  Traces go to files as JSON Lines, written step by step while the
-run goes on, so a failed run leaves the lines of the steps before the
-failure; the ``bone`` subcommand prints a density-per-cycle CSV on stdout.
+error, including a stdout whose reader has gone.  Traces go to files as
+JSON Lines, written step by step while the run goes on, so a failed run
+leaves the lines of the steps before the failure; the ``bone`` subcommand
+prints a density-per-cycle CSV on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import deque
 from typing import Callable, Iterator
@@ -196,14 +198,25 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_argparser().parse_args(argv)
     try:
         if args.command == "validate":
-            return cmd_validate(args.file)
-        if args.command == "run":
-            return cmd_run(args.file, args.seed, args.max_steps, args.trace,
-                           args.snapshot_every, not args.no_self_check)
-        params = BoneParams(capacity=args.capacity, density=args.density, oc=args.oc,
-                            ob=args.ob, cycles=args.cycles, units=args.units)
-        return cmd_bone(params, seed=args.seed, emit_model=args.emit_model,
-                        trace_path=args.trace)
+            status = cmd_validate(args.file)
+        elif args.command == "run":
+            status = cmd_run(args.file, args.seed, args.max_steps, args.trace,
+                             args.snapshot_every, not args.no_self_check)
+        else:
+            params = BoneParams(capacity=args.capacity, density=args.density, oc=args.oc,
+                                ob=args.ob, cycles=args.cycles, units=args.units)
+            status = cmd_bone(params, seed=args.seed, emit_model=args.emit_model,
+                              trace_path=args.trace)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError as exc:
+        # The reader of stdout is gone.  Point fd 1 at the null device so
+        # that the flush at interpreter exit drops the unwritten rest.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"<stdout>: error: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_IO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL

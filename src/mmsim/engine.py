@@ -347,7 +347,7 @@ def _enumerate(state: _State, table: _Table) -> list[tuple]:
                     continue
                 elif form is RuleForm.ENDO:
                     if _fits(here, consumed):
-                        for hid in sorted(state.children[pid]):
+                        for hid in state.children[pid]:
                             if hid != sid and labels[hid] == e.host:
                                 out.append((e.index, sid, hid, pid, sid, consumed, (sid, hid), e))
                 elif form is RuleForm.EXO:

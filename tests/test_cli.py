@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -16,6 +17,8 @@ from mmsim.bone import BoneParams, build_bone_model, density_series
 from mmsim.cli import main
 from mmsim.core import MAX_COUNT, MAX_DEPTH
 from mmsim.engine import EngineOptions, run
+from mmsim.parser import parse_model, serialize_model
+from mmsim.tracefile import model_hash
 
 CORPUS = Path(__file__).parent / "corpus"
 BONE = CORPUS / "valid" / "bone_default.mm"
@@ -349,13 +352,63 @@ def test_nesting_at_max_depth_runs(command, tmp_path, capsys):
         assert len(trace.read_text().splitlines()) == 2
 
 
-def test_cli_import_loads_neither_dataclasses_nor_the_oracle():
-    # Every CLI process pays for what `import mmsim.cli` loads.
+def _python(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run this interpreter on *args* with the package's sources importable."""
     src = str(Path(mmsim.__file__).resolve().parent.parent)
-    code = ("import sys; before = set(sys.modules); import mmsim.cli; "
-            "print(sorted({'dataclasses', 'mmsim.oracle'} & (sys.modules.keys() - before)))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env, text=True, timeout=120, **kwargs)
+
+
+def test_cli_import_loads_no_dataclasses_oracle_or_hashlib():
+    # Every CLI process pays for what `import mmsim.cli` loads; hashlib
+    # loads the OpenSSL binding.
+    code = ("import sys; before = set(sys.modules); import mmsim.cli; "
+            "print(sorted({'dataclasses', 'mmsim.oracle', 'hashlib', '_hashlib'}"
+            " & (sys.modules.keys() - before)))")
+    out = _python("-c", code, capture_output=True, check=True)
     assert out.stdout == "[]\n"
+
+
+_HASHED_MODELS = """
+import json, sys
+from pathlib import Path
+from mmsim.bone import BoneParams, build_bone_model
+from mmsim.parser import parse_model
+from mmsim.tracefile import model_hash
+models = [parse_model(p.read_bytes()) for p in sorted(Path(sys.argv[1]).glob("*.mm"))]
+models.append(build_bone_model(BoneParams(units=3)))
+print(json.dumps({"hashlib": "hashlib" in sys.modules,
+                  "digests": [model_hash(m) for m in models]}))
+"""
+
+
+def test_model_hash_is_the_sha256_of_the_serialization():
+    models = [parse_model(p.read_bytes()) for p in sorted((CORPUS / "valid").glob("*.mm"))]
+    models.append(build_bone_model(BoneParams(units=3)))
+    expected = [hashlib.sha256(serialize_model(m).encode("utf-8")).hexdigest()
+                for m in models]
+    assert [model_hash(m) for m in models] == expected
+    # Again with neither built-in SHA-256 module importable, so the
+    # hashlib fallback does the hashing.
+    blocked = "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+    out = _python("-c", blocked + _HASHED_MODELS, str(CORPUS / "valid"),
+                  capture_output=True, check=True)
+    assert json.loads(out.stdout) == {"hashlib": True, "digests": expected}
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", str(CORPUS / "valid" / "minimal.mm")],
+    # Over 8 KiB of CSV, so a print meets the closed pipe before the flush.
+    ["bone", "--units", "50", "--cycles", "20"],
+])
+def test_closed_stdout_is_one_io_error_line(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = _python("-m", "mmsim.cli", *argv, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr and "Exception ignored" not in out.stderr
+    assert sum("error:" in line for line in out.stderr.splitlines()) == 1
