@@ -39,6 +39,12 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_MODEL)
 
+    # ``--help`` output is written before argparse exits; flush it here so
+    # that a closed stdout is met inside ``main``'s ``try``.
+    def exit(self, status: int = 0, message: str | None = None):
+        sys.stdout.flush()
+        super().exit(status, message)
+
 
 def _load(path: str) -> tuple[Model | None, int]:
     """Read and parse a model file: the model and ``EXIT_OK``, or ``None``
@@ -195,8 +201,8 @@ def _build_argparser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_argparser().parse_args(argv)
     try:
+        args = _build_argparser().parse_args(argv)
         if args.command == "validate":
             status = cmd_validate(args.file)
         elif args.command == "run":

@@ -352,10 +352,12 @@ def test_nesting_at_max_depth_runs(command, tmp_path, capsys):
         assert len(trace.read_text().splitlines()) == 2
 
 
-def _python(*args: str, **kwargs) -> subprocess.CompletedProcess:
-    """Run this interpreter on *args* with the package's sources importable."""
+def _python(*args: str, env: dict[str, str] | None = None,
+            **kwargs) -> subprocess.CompletedProcess:
+    """Run this interpreter on *args* with the package's sources importable
+    and the variables in *env* set."""
     src = str(Path(mmsim.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     return subprocess.run([sys.executable, *args], env=env, text=True, timeout=120, **kwargs)
 
@@ -401,12 +403,16 @@ def test_model_hash_is_the_sha256_of_the_serialization():
     ["run", str(CORPUS / "valid" / "minimal.mm")],
     # Over 8 KiB of CSV, so a print meets the closed pipe before the flush.
     ["bone", "--units", "50", "--cycles", "20"],
+    # Buffered help text meets the closed pipe only when argparse exits.
+    ["bone", "--help"],
 ])
 def test_closed_stdout_is_one_io_error_line(argv):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        out = _python("-m", "mmsim.cli", *argv, stdout=write_end, stderr=subprocess.PIPE)
+        # An empty PYTHONUNBUFFERED keeps stdout block-buffered, the default.
+        out = _python("-m", "mmsim.cli", *argv, env={"PYTHONUNBUFFERED": ""},
+                      stdout=write_end, stderr=subprocess.PIPE)
     finally:
         os.close(write_end)
     assert out.returncode == 2
