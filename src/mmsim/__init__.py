@@ -45,7 +45,7 @@ from .engine import (
     step,
 )
 from .parser import Model, ParseError, lint, parse_model, rule_text, serialize_model
-from .coupling import CouplingSpec, carrier_cycle_length, generate_carrier_protocol
+from .coupling import CouplingSpec, carrier_cycle_length, cycle_end_step, generate_carrier_protocol
 from .bone import (
     BoneParams,
     DensitySampler,

@@ -19,6 +19,13 @@ is left plus what was formed, and deposits the result back in the patch;
 one round trip per cycle token.  Because formation needs a free slot, net
 growth is capped by prior resorption within the run.
 
+Every carrier advances exactly one phase per step until it parks: each
+phase has one rule that advances it, and a carrier's moves lock only its
+own unit's membranes, so the mover-lock never refuses one.  All units
+therefore end round trip k in the same step,
+``mmsim.coupling.cycle_end_step(k)``, which is where
+:class:`DensitySampler` reads the densities.
+
 Everything here returns plain models and rules; serialization is
 ``mmsim.parser``'s job and execution is ``mmsim.engine``'s.
 """
@@ -29,7 +36,7 @@ import math
 from typing import Iterable
 
 from .core import MAX_COUNT, Rule, _Record, _set, build_configuration, rewrite
-from .coupling import CouplingSpec, generate_carrier_protocol
+from .coupling import CouplingSpec, cycle_end_step, generate_carrier_protocol
 from .engine import Trace, TraceStep
 from .parser import Model
 
@@ -104,18 +111,18 @@ def decode_density(tokens: int, capacity: int) -> float:
     return tokens / capacity
 
 
-def micro_rules(micro_label: str = "BMU", *, delivered: str = "_cb",
-                remodelled: str = "_cn") -> tuple[Rule, Rule]:
-    """The BMU-scale resorption and formation rules.
+def micro_rules(spec: CouplingSpec) -> tuple[Rule, Rule]:
+    """The BMU-scale resorption and formation rules of the unit *spec*.
 
     Both actor tokens are consumed on use, so ``oc``/``ob`` stocks bound
     the total remodelling work a unit can do across all cycles.
     """
+    bmu = spec.micro_label
     return (
-        rewrite(f"{micro_label}_resorb", micro_label,
-                {OSTEOCLAST: 1, delivered: 1}, {FREE_SLOT: 1}),
-        rewrite(f"{micro_label}_form", micro_label,
-                {OSTEOBLAST: 1, FREE_SLOT: 1}, {remodelled: 1}),
+        rewrite(f"{bmu}_resorb", bmu,
+                {OSTEOCLAST: 1, spec.cargo_delivered: 1}, {FREE_SLOT: 1}),
+        rewrite(f"{bmu}_form", bmu,
+                {OSTEOBLAST: 1, FREE_SLOT: 1}, {spec.cargo_remodelled: 1}),
     )
 
 
@@ -151,9 +158,7 @@ def build_bone_model(params: BoneParams) -> Model:
         carrier = (spec.carrier_label, carrier_start, ())
         skin_children += [tissue, (spec.coupling_label, None, (bmu, carrier))]
         rules.extend(generate_carrier_protocol(spec))
-        rules.extend(micro_rules(spec.micro_label,
-                                 delivered=spec.cargo_delivered,
-                                 remodelled=spec.cargo_remodelled))
+        rules.extend(micro_rules(spec))
     return Model(build_configuration(("skin", None, skin_children)), tuple(rules))
 
 
@@ -161,50 +166,36 @@ class DensitySampler:
     """Per-cycle tissue densities of several units, read from a stream of
     trace steps in one pass.
 
-    A cycle completes at the step where the carrier sits in its final
-    phase and the returned cargo (if any) lands back in the tissue; the
+    Every carrier starts in p0 at step 0 and advances exactly one phase per
+    step, so round trip k of every unit ends in the same step,
+    ``cycle_end_step(k)``, whether or not it carries anything back; the
     sample is the tissue's payload count right after that step.  Feed the
-    steps of a run in order to :meth:`add`; ``series[unit]`` then holds
-    ``(cycle, density)`` for every cycle completed so far.
+    steps of a run in order, from step 0, to :meth:`add`; ``series[unit]``
+    then holds ``(cycle, density)`` for every cycle completed so far.
     """
 
     def __init__(self, units: Iterable[int], capacity: int):
         self.capacity = capacity
         self.series: dict[int, list[tuple[int, float]]] = {}
         self._specs: dict[int, CouplingSpec] = {}
-        # The rules that land a unit's cargo in its tissue, by rule id.
-        self._samples: dict[str, int] = {}
-        self._started = False
-        self._taken: set[int] = set()  # the units the last step sampled
+        self._cycles = 0  # round trips completed so far
         for unit in units:
-            spec = self._specs[unit] = unit_spec(unit)
+            self._specs[unit] = unit_spec(unit)
             self.series[unit] = []
-            self._samples[spec.rule_id("deposit")] = unit
-            self._samples[spec.rule_id("restart")] = unit
 
     def add(self, step: TraceStep) -> None:
         """Read the next step of the run."""
         state = step.state
-        if not self._started:
+        if step.index == 0:
             for unit, spec in self._specs.items():
                 if spec.macro_label not in state:
                     raise ValueError(f"unit {unit} out of range for this trace")
-            self._started = True
-        samples = self._samples
-        taken = {samples[a.rule] for a in step.applied if a.rule in samples}
-        if step.halted:
-            # A last cycle with nothing to deposit fires no rule at all; the
-            # parked carrier phase identifies it.
-            for unit, spec in self._specs.items():
-                if (unit not in self._taken
-                        and state.get(spec.carrier_label, {}).get(spec.phase_symbols[13], 0) > 0):
-                    taken.add(unit)
-        for unit in taken:
-            spec = self._specs[unit]
+        if step.index != cycle_end_step(self._cycles + 1):
+            return
+        self._cycles += 1
+        for unit, spec in self._specs.items():
             tokens = state.get(spec.macro_label, {}).get(spec.payload_symbol, 0)
-            series = self.series[unit]
-            series.append((len(series) + 1, decode_density(tokens, self.capacity)))
-        self._taken = taken
+            self.series[unit].append((self._cycles, decode_density(tokens, self.capacity)))
 
 
 def density_series(trace: Trace, unit: int, capacity: int) -> list[tuple[int, float]]:

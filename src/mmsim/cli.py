@@ -18,7 +18,7 @@ from collections import deque
 from typing import Callable, Iterator
 
 from .bone import BoneParams, DensitySampler, build_bone_model
-from .coupling import FIRST_CYCLE_EXTRA_STEPS, carrier_cycle_length
+from .coupling import cycle_end_step
 from .engine import EngineError, EngineOptions, TraceStep, iter_steps, label_totals
 from .parser import Model, ParseError, lint, parse_model, serialize_model
 from .rng import RNG_ALGORITHM
@@ -143,11 +143,6 @@ def cmd_run(path: str, seed: int, max_steps: int, trace_path: str | None,
     return EXIT_OK
 
 
-def bone_step_bound(params: BoneParams) -> int:
-    """Steps of a bone run: the lead-in, every cycle and the halting step."""
-    return FIRST_CYCLE_EXTRA_STEPS + carrier_cycle_length() * params.cycles + 1
-
-
 def cmd_bone(params: BoneParams, seed: int = 0, emit_model: str | None = None,
              trace_path: str | None = None) -> int:
     """Build the bone model, run it to halt, print the density CSV."""
@@ -160,7 +155,8 @@ def cmd_bone(params: BoneParams, seed: int = 0, emit_model: str | None = None,
         except OSError as exc:
             print(f"{emit_model}: error: {exc.strerror or exc}", file=sys.stderr)
             return EXIT_IO
-    steps = iter_steps(model, options, max_steps=bone_step_bound(params))
+    # The last round trip's deposit step, then the halting step.
+    steps = iter_steps(model, options, max_steps=cycle_end_step(params.cycles) + 2)
     sampler = DensitySampler(range(1, params.units + 1), params.capacity)
     status = _drive(model, options, steps, sampler.add, trace_path, 1)
     if status != EXIT_OK:

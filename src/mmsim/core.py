@@ -30,6 +30,7 @@ from operator import attrgetter
 __all__ = [
     "MAX_COUNT",
     "MAX_DEPTH",
+    "KEYWORDS",
     "is_symbol",
     "check_symbol",
     "is_reserved_symbol",
@@ -72,10 +73,15 @@ MAX_DEPTH = 128
 _SYMBOL_PATTERN = r"_*[A-Za-z][A-Za-z0-9_]*"
 _SYMBOL_RE = re.compile(rf"\A{_SYMBOL_PATTERN}\Z")
 
+# The words of the model grammar.  No symbol, label or rule id may be one,
+# so that every serialized model parses back.
+KEYWORDS = frozenset({"rule", "in", "endo", "into", "exo", "from", "if"})
+
 
 def is_symbol(name: object) -> bool:
-    """True if *name* is a well-formed symbol or label token."""
-    return isinstance(name, str) and _SYMBOL_RE.match(name) is not None
+    """True if *name* is a well-formed symbol or label token and no keyword."""
+    return (isinstance(name, str) and _SYMBOL_RE.match(name) is not None
+            and name not in KEYWORDS)
 
 
 def check_symbol(name: object) -> str:

@@ -46,18 +46,12 @@ from .core import (Multiset, Rule, _Record, _set, endo, exo, is_reserved_symbol,
                    rewrite, send_in, send_out)
 
 __all__ = ["CouplingSpec", "generate_carrier_protocol", "carrier_cycle_length",
-           "FIRST_CYCLE_EXTRA_STEPS", "PHASE_COUNT", "DRAIN_PHASE"]
+           "cycle_end_step"]
 
-PHASE_COUNT = 14
-DRAIN_PHASE = 2
+_PHASE_COUNT = 14
+_DRAIN_PHASE = 2
 
-# The carrier advances exactly one phase per step.  It starts parked in p0
-# and every restart returns it from the last phase to the drain phase, so
-# the lead-in to the first drain takes DRAIN_PHASE steps and a steady-state
-# cycle takes PHASE_COUNT - DRAIN_PHASE steps.
-FIRST_CYCLE_EXTRA_STEPS = DRAIN_PHASE
-
-_PHASE_SYMBOLS = tuple(f"p{i}" for i in range(PHASE_COUNT))
+_PHASE_SYMBOLS = tuple(f"p{i}" for i in range(_PHASE_COUNT))
 # Multisets are immutable, so every spec hands out the same phase tokens.
 _PHASES = tuple(Multiset({sym: 1}) for sym in _PHASE_SYMBOLS)
 
@@ -126,9 +120,6 @@ class CouplingSpec(_Record):
     def phase_symbols(self) -> tuple[str, ...]:
         return _PHASE_SYMBOLS
 
-    def phase(self, i: int) -> Multiset:
-        return _PHASES[i]
-
     def rule_id(self, name: str) -> str:
         return f"{self.carrier_label}_{name}"
 
@@ -141,7 +132,7 @@ def generate_carrier_protocol(spec: CouplingSpec) -> tuple[Rule, ...]:
     """
     V, T, CU, BMU = (spec.carrier_label, spec.macro_label,
                      spec.coupling_label, spec.micro_label)
-    p = spec.phase
+    p = _PHASES
     cyc = Multiset({spec.cycle_symbol: 1})
     payload = Multiset({spec.payload_symbol: 1})
     loaded = Multiset({spec.cargo_loaded: 1})
@@ -151,28 +142,38 @@ def generate_carrier_protocol(spec: CouplingSpec) -> tuple[Rule, ...]:
     rid = spec.rule_id
 
     return (
-        exo(rid("depart"), V, CU, p(0) + cyc, p(1)),
-        endo(rid("enter_tissue"), V, T, p(1), p(DRAIN_PHASE)),
-        send_in(rid("drain"), V, payload, loaded, promoter=p(DRAIN_PHASE)),
-        rewrite(rid("drain_done"), V, p(DRAIN_PHASE), p(3)),
-        exo(rid("exit_tissue"), V, T, p(3), p(4)),
-        endo(rid("enter_coupling"), V, CU, p(4), p(5)),
-        endo(rid("enter_micro"), V, BMU, p(5), p(6)),
-        send_out(rid("deliver"), V, loaded, delivered, promoter=p(6)),
-        rewrite(rid("deliver_done"), V, p(6), p(7)),
-        rewrite(rid("wait_resorb"), V, p(7), p(8)),
-        rewrite(rid("wait_form"), V, p(8), p(9)),
-        send_in(rid("pickup_kept"), V, delivered, returning, promoter=p(9)),
-        send_in(rid("pickup_new"), V, remodelled, returning, promoter=p(9)),
-        rewrite(rid("pickup_done"), V, p(9), p(10)),
-        exo(rid("exit_micro"), V, BMU, p(10), p(11)),
-        exo(rid("exit_coupling"), V, CU, p(11), p(12)),
-        endo(rid("reenter_tissue"), V, T, p(12), p(13)),
-        send_out(rid("deposit"), V, returning, payload, promoter=p(13)),
-        rewrite(rid("restart"), V, p(13) + cyc, p(DRAIN_PHASE)),
+        exo(rid("depart"), V, CU, p[0] + cyc, p[1]),
+        endo(rid("enter_tissue"), V, T, p[1], p[_DRAIN_PHASE]),
+        send_in(rid("drain"), V, payload, loaded, promoter=p[_DRAIN_PHASE]),
+        rewrite(rid("drain_done"), V, p[_DRAIN_PHASE], p[3]),
+        exo(rid("exit_tissue"), V, T, p[3], p[4]),
+        endo(rid("enter_coupling"), V, CU, p[4], p[5]),
+        endo(rid("enter_micro"), V, BMU, p[5], p[6]),
+        send_out(rid("deliver"), V, loaded, delivered, promoter=p[6]),
+        rewrite(rid("deliver_done"), V, p[6], p[7]),
+        rewrite(rid("wait_resorb"), V, p[7], p[8]),
+        rewrite(rid("wait_form"), V, p[8], p[9]),
+        send_in(rid("pickup_kept"), V, delivered, returning, promoter=p[9]),
+        send_in(rid("pickup_new"), V, remodelled, returning, promoter=p[9]),
+        rewrite(rid("pickup_done"), V, p[9], p[10]),
+        exo(rid("exit_micro"), V, BMU, p[10], p[11]),
+        exo(rid("exit_coupling"), V, CU, p[11], p[12]),
+        endo(rid("reenter_tissue"), V, T, p[12], p[13]),
+        send_out(rid("deposit"), V, returning, payload, promoter=p[13]),
+        rewrite(rid("restart"), V, p[13] + cyc, p[_DRAIN_PHASE]),
     )
 
 
 def carrier_cycle_length() -> int:
     """Engine steps of one steady-state macro-cycle (p2 back to p2)."""
-    return PHASE_COUNT - DRAIN_PHASE
+    return _PHASE_COUNT - _DRAIN_PHASE
+
+
+def cycle_end_step(k: int) -> int:
+    """Index of the step in which round trip *k* (counting from 1) deposits.
+
+    The carrier departs from p0 in step 0 and advances one phase per step;
+    restart takes it from the last phase back to the drain phase.  The step
+    after the last round trip is the halting step.
+    """
+    return _DRAIN_PHASE + k * carrier_cycle_length() - 1

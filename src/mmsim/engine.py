@@ -31,8 +31,8 @@ the one that the fewest of the label's rules consume, then promote.  Only
 a ``send-in`` rule without a promoter is keyed on the symbol it consumes
 from the parent.  Enumeration rejects a rule with that one dict lookup
 before it runs the full fit test.  In the carrier protocol the phase
-tokens ``p0..p13`` become the keys, so only the one to three rules of the
-current phase pass the lookup.  The table of the last rule set is cached,
+tokens become the keys, so only the one to three rules of the current
+phase pass the lookup.  The table of the last rule set is cached,
 so the public per-step calls below reuse it rather than recompile.
 
 A run steps one flat, id-indexed state in place; immutable

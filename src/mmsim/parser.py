@@ -36,6 +36,7 @@ from typing import Iterator
 from .core import (
     _SYMBOL_PATTERN,
     EMPTY,
+    KEYWORDS,
     MAX_COUNT,
     MAX_DEPTH,
     Configuration,
@@ -52,8 +53,6 @@ from .core import (
 )
 
 __all__ = ["ParseError", "Model", "parse_model", "serialize_model", "rule_text", "lint"]
-
-KEYWORDS = frozenset({"rule", "in", "endo", "into", "exo", "from", "if"})
 
 _COUNT_DIGITS = len(str(MAX_COUNT))
 

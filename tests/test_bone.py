@@ -14,6 +14,7 @@ from mmsim.bone import (
     transit_total,
 )
 from mmsim.core import build_configuration
+from mmsim.coupling import CouplingSpec
 from mmsim.engine import EngineOptions, Trace, label_totals, run, step
 from mmsim.oracle import canonical_form, oracle_successors
 from mmsim.parser import lint, parse_model, serialize_model
@@ -63,7 +64,7 @@ class TestMicroRules:
     def test_hand_simulated_two_steps(self):
         cfg = build_configuration(
             ("skin", {}, [("BMU", {"_oc": 3, "_cb": 10, "_ob": 1}, [])]))
-        rules = list(micro_rules())
+        rules = list(micro_rules(CouplingSpec()))
         rng = SplitMix64(0)
         first = step(cfg, rules, rng)
         assert label_totals(first.config)["BMU"] == {"_cb": 7, "_f": 3, "_ob": 1}
@@ -74,7 +75,7 @@ class TestMicroRules:
 
     def test_formation_requires_prior_resorption(self):
         cfg = build_configuration(("skin", {}, [("BMU", {"_ob": 5, "_cb": 4}, [])]))
-        result = step(cfg, list(micro_rules()), SplitMix64(0))
+        result = step(cfg, list(micro_rules(CouplingSpec())), SplitMix64(0))
         assert result.halted  # no free slots, no osteoclasts: nothing fires
 
 

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mmsim.core import (
+    KEYWORDS,
     MAX_COUNT,
     Configuration,
     Membrane,
@@ -23,9 +24,11 @@ from mmsim.core import (
     structural_violations,
     validate,
 )
+from mmsim.coupling import CouplingSpec
 from mmsim.parser import Model, serialize_model
 
-symbols = st.from_regex(r"_?[a-z][a-z0-9_]{0,3}", fullmatch=True)
+symbols = st.from_regex(r"_?[a-z][a-z0-9_]{0,3}", fullmatch=True).filter(
+    lambda s: s not in KEYWORDS)
 multisets = st.dictionaries(symbols, st.integers(1, 4), max_size=4).map(Multiset)
 
 
@@ -37,6 +40,21 @@ class TestSymbols:
     @pytest.mark.parametrize("name", ["", "_", "1a", "9", "a-b", "a b", "Ω", None, 3])
     def test_invalid(self, name):
         assert not is_symbol(name)
+
+    @pytest.mark.parametrize("word", sorted(KEYWORDS))
+    def test_keywords_are_no_names(self, word):
+        # serialize_model would write them where parse_model reserves them
+        assert not is_symbol(word)
+        with pytest.raises(ValueError):
+            Multiset({word: 1})
+        with pytest.raises(ValueError):
+            Membrane(1, word)
+        with pytest.raises(ValueError):
+            rewrite(word, "skin", {"a": 1}, {"b": 1})
+        with pytest.raises(ValueError):
+            rewrite("r", word, {"a": 1}, {"b": 1})
+        with pytest.raises(ValueError):
+            CouplingSpec(payload_symbol=word)
 
 
 class TestMultiset:

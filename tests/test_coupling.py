@@ -5,11 +5,10 @@ from __future__ import annotations
 import pytest
 
 from mmsim.bone import BoneParams, build_bone_model
-from mmsim.cli import bone_step_bound
 from mmsim.coupling import (
-    FIRST_CYCLE_EXTRA_STEPS,
     CouplingSpec,
     carrier_cycle_length,
+    cycle_end_step,
     generate_carrier_protocol,
 )
 from mmsim.engine import EngineOptions, Trace, run
@@ -80,14 +79,16 @@ class TestTiming:
 
     def test_first_cycle_lead_in(self):
         drains = drain_steps(bone_trace(cycles=2))
-        assert drains[0] == FIRST_CYCLE_EXTRA_STEPS
+        # round trip k + 1 drains in the step after round trip k deposits;
+        # for the first one, k = 0 stands for the lead-in
+        assert drains[0] == cycle_end_step(0) + 1
 
     @pytest.mark.parametrize("cycles", [1, 2, 3])
     def test_total_run_length(self, cycles):
         trace = bone_trace(cycles=cycles)
         assert trace.halted
-        # lead-in + full cycles + the recorded halting step
-        assert len(trace.steps) == FIRST_CYCLE_EXTRA_STEPS + 12 * cycles + 1
+        # the last deposit step, then the recorded halting step
+        assert len(trace.steps) == cycle_end_step(cycles) + 2
 
     @pytest.mark.parametrize("units", [1, 2, 3])
     @pytest.mark.parametrize("oc,ob", [(0, 0), (3, 1), (1, 5)])
@@ -95,12 +96,35 @@ class TestTiming:
     def test_cli_step_bound_reaches_halt(self, density, oc, ob, units):
         for cycles in range(4):
             params = BoneParams(density=density, oc=oc, ob=ob, cycles=cycles, units=units)
-            bound = bone_step_bound(params)
+            bound = cycle_end_step(cycles) + 2  # the step count ``mmsim bone`` runs
             for seed in range(5):
                 trace = run(build_bone_model(params), EngineOptions(seed=seed),
                             max_steps=bound)
                 assert trace.halted, (cycles, seed)
                 assert bound >= len(trace.steps)
+
+    @pytest.mark.parametrize("units", [1, 2, 3])
+    @pytest.mark.parametrize("oc,ob", [(0, 0), (3, 1), (1, 5)])
+    @pytest.mark.parametrize("density", [0.0, 0.5, 1.0])
+    def test_round_trips_end_at_cycle_end_step(self, density, oc, ob, units):
+        # The schedule the density sampler reads, checked against the rules
+        # that fire: deposit and restart fire only in the steps
+        # cycle_end_step(k), and the carrier holds the last phase before each.
+        last_phase = CouplingSpec().phase_symbols[-1]
+        for cycles in range(5):
+            params = BoneParams(density=density, oc=oc, ob=ob, cycles=cycles, units=units)
+            ends = {cycle_end_step(k) for k in range(1, cycles + 1)}
+            for seed in range(5):
+                trace = run(build_bone_model(params), EngineOptions(seed=seed), max_steps=2000)
+                for unit in range(1, units + 1):
+                    landing = {f"V{unit}_deposit", f"V{unit}_restart"}
+                    fired = {s.index for s in trace.steps
+                             if any(a.rule in landing for a in s.applied)}
+                    assert fired <= ends, (cycles, seed, unit)
+                    # every round trip but the last restarts
+                    assert {cycle_end_step(k) for k in range(1, cycles)} <= fired
+                    for end in ends:
+                        assert trace.steps[end - 1].state[f"V{unit}"].get(last_phase) == 1
 
     def test_no_cycle_tokens_means_carrier_never_leaves(self):
         trace = bone_trace(cycles=0)

@@ -1,8 +1,10 @@
 """Traces pinned across commits: SHA-256 digests of ``dump_trace`` output,
-and of the trace files the command line writes while the run goes on.
+and of the trace files the command line writes while the run goes on.  The
+bone study's density CSV and ``density_series`` rows are pinned the same way.
 
-A change to the engine, the generator or the trace format that alters any
-of these traces must say why, and update the digests with it.
+A change to the engine, the generator, the trace format or the density
+sampler that alters any of these outputs must say why, and update the
+digests with it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from mmsim.bone import BoneParams, build_bone_model
+from mmsim.bone import BoneParams, build_bone_model, density_series
 from mmsim.cli import main
 from mmsim.engine import EngineOptions, run
 from mmsim.parser import Model, parse_model
@@ -98,3 +100,46 @@ def test_cli_bone_trace_file_digests(tmp_path, capsys):
         digests[seed] = file_digest(trace)
     capsys.readouterr()
     assert digests == BONE_DIGESTS
+
+
+def csv_digest(capsys, *args: str) -> str:
+    capsys.readouterr()
+    assert main(["bone", *args]) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+
+# ``mmsim bone --units 3 --cycles 4 --oc 3 --ob 1`` stdout; the study is
+# confluent, so every seed prints the same CSV.
+BONE_CSV_DIGEST = "9dc250c62537c05ceaffaec3238769596f6c0d5edc958f01fdcd9ee65f236bde"
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_cli_bone_csv_digest(seed, capsys):
+    digest = csv_digest(capsys, "--units", "3", "--cycles", "4", "--oc", "3", "--ob", "1",
+                        "--seed", str(seed))
+    assert digest == BONE_CSV_DIGEST
+
+
+@pytest.mark.parametrize("args,digest", [
+    # Nothing to deposit in any cycle, so the last one fires no rule at all.
+    (("--units", "2", "--cycles", "3", "--density", "0", "--oc", "0", "--ob", "0"),
+     "90edd05565fb6cc43cfb7d905012ea53da93807810fc2198baca41a7ca19b3d6"),
+    # The first cycle resorbs everything; the second carries nothing back.
+    (("--density", "1", "--oc", "25", "--ob", "0", "--cycles", "2"),
+     "4186402db09f9d06e50b7cfa89124677bf2fa60dcb68acf12e30bf807a0670f4"),
+    (("--cycles", "0"), "f718835f71deeebf19b4f1a2f4a22925567d4efe2ef6ea904f09b6e8c31aa892"),
+])
+def test_cli_bone_edge_csv_digests(args, digest, capsys):
+    assert csv_digest(capsys, *args) == digest
+
+
+@pytest.mark.parametrize("max_steps,rows", [
+    (7, []),
+    (14, [(1, 0.4)]),
+    (20, [(1, 0.4)]),
+])
+def test_density_series_of_a_cut_run(max_steps, rows):
+    params = BoneParams(units=2, cycles=2, oc=3, ob=1)
+    trace = run(build_bone_model(params), EngineOptions(seed=0), max_steps=max_steps)
+    assert len(trace.steps) == max_steps
+    assert [density_series(trace, unit, params.capacity) for unit in (1, 2)] == [rows, rows]
