@@ -115,13 +115,13 @@ def _state_summary(state: dict[str, dict[str, int]]) -> str:
 
 
 def cmd_run(path: str, seed: int, max_steps: int, trace_path: str | None,
-            snapshot_every: int, self_check: bool) -> int:
+            snapshot_every: int) -> int:
     """Run a model file and print a one-line summary."""
     if max_steps < 0:
         raise ValueError("max-steps must be >= 0")
     if snapshot_every < 1:
         raise ValueError("snapshot-every must be >= 1")
-    options = EngineOptions(seed=seed, self_check=self_check)
+    options = EngineOptions(seed=seed)
     model, status = _load(path)
     if model is None:
         return status
@@ -181,7 +181,6 @@ def _build_argparser() -> _Parser:
     p_run.add_argument("--max-steps", type=int, default=10_000)
     p_run.add_argument("--trace", metavar="FILE")
     p_run.add_argument("--snapshot-every", type=int, default=1)
-    p_run.add_argument("--no-self-check", action="store_true")
 
     p_bone = sub.add_parser("bone", help="run the bone remodelling study")
     p_bone.add_argument("--units", type=int, default=1)
@@ -203,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
             status = cmd_validate(args.file)
         elif args.command == "run":
             status = cmd_run(args.file, args.seed, args.max_steps, args.trace,
-                             args.snapshot_every, not args.no_self_check)
+                             args.snapshot_every)
         else:
             params = BoneParams(capacity=args.capacity, density=args.density, oc=args.oc,
                                 ob=args.ob, cycles=args.cycles, units=args.units)

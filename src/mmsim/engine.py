@@ -113,25 +113,30 @@ class CountOverflow(EngineError):
 
 
 class DepthExceeded(EngineError):
-    """An endo move would nest a membrane deeper than ``MAX_DEPTH``."""
+    """An endo move nested a membrane deeper than ``MAX_DEPTH``."""
 
 
 class SelfCheckViolation(EngineError):
     """A post-step maximality or validity assertion failed (engine bug)."""
 
 
-class EngineOptions(_Record):
-    __slots__ = ("seed", "max_instances_per_step", "self_check")
+def _require_int(name: str, value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
 
-    def __init__(self, seed: int = 0, max_instances_per_step: int = 1_000_000,
-                 self_check: bool = True) -> None:
+
+class EngineOptions(_Record):
+    __slots__ = ("seed", "max_instances_per_step")
+
+    def __init__(self, seed: int = 0, max_instances_per_step: int = 1_000_000) -> None:
+        _require_int("seed", seed)
+        _require_int("max_instances_per_step", max_instances_per_step)
         if not 0 <= seed < (1 << 64):
             raise ValueError("seed must be an unsigned 64-bit integer")
         if max_instances_per_step < 1:
             raise ValueError("max_instances_per_step must be >= 1")
         _set(self, "seed", seed)
         _set(self, "max_instances_per_step", max_instances_per_step)
-        _set(self, "self_check", self_check)
 
 
 class StepResult(_Record):
@@ -435,7 +440,7 @@ def _select_maximal(state: _State, candidates: list[tuple], rng: SplitMix64
 
 
 # ---------------------------------------------------------------------------
-# Effect application and the self-check
+# Effect application and the step's checks
 
 def _apply(state: _State, applied: Sequence[tuple[tuple, int]]) -> None:
     contents, parent, children = state.contents, state.parent, state.children
@@ -450,7 +455,7 @@ def _apply(state: _State, applied: Sequence[tuple[tuple, int]]) -> None:
             kn = k * n
             left = src.get(sym, 0) - kn
             if left < 0:
-                raise EngineError(
+                raise SelfCheckViolation(
                     f"internal underflow applying {e.rule.id!r}: joint check missed it")
             if left:
                 src[sym] = left
@@ -463,7 +468,6 @@ def _apply(state: _State, applied: Sequence[tuple[tuple, int]]) -> None:
                 del total[sym]
         changed.add(label)
     moves: list[tuple[int, int]] = []
-    entered: list[int] = []
     for (_, sid, hid, pid, _, _, locks, e), k in applied:
         if e.produced:
             sink = pid if e.form is RuleForm.SEND_OUT else sid
@@ -486,45 +490,39 @@ def _apply(state: _State, applied: Sequence[tuple[tuple, int]]) -> None:
             # EXO leaves the host for the host's parent; every target is read
             # before any move below changes a parent.
             moves.append((sid, hid if e.form is RuleForm.ENDO else parent[hid]))
-            if e.form is RuleForm.ENDO:
-                entered.append(sid)
 
     for child, new_parent in moves:
         children[parent[child]].remove(child)
         children[new_parent].append(child)
         parent[child] = new_parent
-    # Only an endo move deepens the tree; every parent is final here.
-    for mid in entered:
-        level, up = 1, parent[mid]
-        while up is not None:
-            level += 1
-            up = parent[up]
-        stack = [(mid, level)]
-        while stack:
-            m, level = stack.pop()
-            if level > MAX_DEPTH:
-                raise DepthExceeded(
-                    f"an endo move nests membrane {m} deeper than {MAX_DEPTH} levels")
-            stack.extend((c, level + 1) for c in children[m])
 
 
 def _structural_violations(state: _State) -> list[str]:
     """Every membrane must be reachable from the skin exactly once, and no
-    stored count may be <= 0.  An empty list means the state is valid."""
+    stored count may be <= 0.  An empty list means the state is valid.  The
+    walk goes down level by level and raises :class:`DepthExceeded` on a
+    membrane deeper than ``MAX_DEPTH``, which only an endo move can nest."""
     violations: list[str] = []
     seen: set[int] = set()
-    stack = [state.skin]
-    while stack:
-        mid = stack.pop()
-        if mid in seen:
-            violations.append(f"shared-membrane: membrane id {mid} reachable twice")
-            continue
-        seen.add(mid)
-        counts = state.contents[mid]
-        if counts and min(counts.values()) <= 0:
-            violations.extend(f"zero-count: membrane {mid} stores {sym}*{n}"
-                              for sym, n in counts.items() if n <= 0)
-        stack.extend(state.children[mid])
+    level = [state.skin]
+    depth = 1
+    while level:
+        if depth > MAX_DEPTH:
+            raise DepthExceeded(
+                f"an endo move nests membrane {min(level)} deeper than {MAX_DEPTH} levels")
+        below: list[int] = []
+        for mid in level:
+            if mid in seen:
+                violations.append(f"shared-membrane: membrane id {mid} reachable twice")
+                continue
+            seen.add(mid)
+            counts = state.contents[mid]
+            if counts and min(counts.values()) <= 0:
+                violations.extend(f"zero-count: membrane {mid} stores {sym}*{n}"
+                                  for sym, n in counts.items() if n <= 0)
+            below.extend(state.children[mid])
+        level = below
+        depth += 1
     for mid in sorted(state.labels.keys() - seen):
         violations.append(f"detached: membrane {mid} is not reachable from the skin")
     return violations
@@ -532,9 +530,9 @@ def _structural_violations(state: _State) -> list[str]:
 
 def _check_maximal(candidates: list[tuple], contents: dict[int, dict[str, int]],
                    residual: dict[int, dict[str, int]], locked: set[int]) -> None:
-    """The self-check's maximality rescan of every candidate against what
-    selection left; runs before the effects are applied, while *contents*
-    still holds the pre-step counts."""
+    """The maximality rescan of every candidate against what selection
+    left; runs before the effects are applied, while *contents* still holds
+    the pre-step counts."""
     leftover = 0
     for _, _, _, _, source, consumed, locks, _ in candidates:
         if locks is not None and (locks[0] in locked or locks[1] in locked):
@@ -551,20 +549,14 @@ def _check_maximal(candidates: list[tuple], contents: dict[int, dict[str, int]],
         raise SelfCheckViolation(f"step is not maximal: {leftover} instances still addable")
 
 
-def _check_structure(state: _State) -> None:
-    """The self-check's structural walk of the post-step state."""
-    violations = _structural_violations(state)
-    if violations:
-        raise SelfCheckViolation(f"post-step configuration invalid: {violations}")
-
-
 # ---------------------------------------------------------------------------
 # The step relation and runs
 
 def _step(state: _State, table: _Table, rng: SplitMix64,
           options: EngineOptions) -> list[tuple[tuple, int]]:
     """Advance *state* by one step in place; returns the applied candidates
-    with their multiplicities, empty when the step halts."""
+    with their multiplicities, empty when the step halts.  A step that
+    applies anything always checks maximality and the post-step tree."""
     candidates = _enumerate(state, table)
     if len(candidates) > options.max_instances_per_step:
         raise InstanceBoundExceeded(
@@ -573,12 +565,12 @@ def _step(state: _State, table: _Table, rng: SplitMix64,
     if not candidates:
         return []
     residual, locked, counts = _select_maximal(state, candidates, rng)
-    if options.self_check:
-        _check_maximal(candidates, state.contents, residual, locked)
+    _check_maximal(candidates, state.contents, residual, locked)
     applied = [(cand, k) for cand, k in zip(candidates, counts) if k]
     _apply(state, applied)
-    if options.self_check:
-        _check_structure(state)
+    violations = _structural_violations(state)
+    if violations:
+        raise SelfCheckViolation(f"post-step configuration invalid: {violations}")
     return applied
 
 
@@ -626,6 +618,7 @@ def _steps(state: _State, rules: tuple[Rule, ...], options: EngineOptions,
 
 
 def _start(model: Model, max_steps: int) -> _State:
+    _require_int("max_steps", max_steps)
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     return _State(model.config)

@@ -342,8 +342,8 @@ def lint(model: Model) -> list[str]:
 
     Flags rules anchored to labels that never occur in the initial
     structure (the rule can never fire), symbols that are produced but
-    never consumed and absent initially, and endo rules whose subject and
-    host labels coincide.
+    never read (neither consumed nor a promoter) and absent initially, and
+    endo rules whose subject and host labels coincide.
     """
     warnings: list[str] = []
     present_labels = {m.label for m in iter_membranes(model.config.skin)}
@@ -351,10 +351,10 @@ def lint(model: Model) -> list[str]:
     for m in iter_membranes(model.config.skin):
         initial_symbols.update(m.contents)
 
-    consumed: set[str] = set()
+    read: set[str] = set()
     produced: set[str] = set()
     for rule in model.rules:
-        consumed.update(rule.consumed)
+        read.update(rule.consumed, rule.promoter or ())
         produced.update(rule.produced)
         labels = [rule.subject] + ([rule.host] if rule.host is not None else [])
         for label in labels:
@@ -368,8 +368,9 @@ def lint(model: Model) -> list[str]:
                 f"self-entry: endo rule {rule.id!r} has identical subject and host"
                 f" label {rule.subject!r}"
             )
-    for sym in sorted(produced - consumed - initial_symbols):
+    for sym in sorted(produced - read - initial_symbols):
         warnings.append(
-            f"dead-symbol: {sym!r} is produced but never consumed and absent initially"
+            f"dead-symbol: {sym!r} is produced but never consumed or read as a promoter"
+            " and absent initially"
         )
     return warnings

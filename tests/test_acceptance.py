@@ -87,10 +87,10 @@ def test_criterion_1_oracle_equivalence():
         assert elapsed < 60.0, f"oracle sweep took {elapsed:.1f}s"
 
 
-def test_criterion_2_maximality_self_check():
+def test_criterion_2_maximality_checks():
     with criterion(2, "10,000+ self-checked steps with zero violations"):
         total = 0
-        # Long bone runs (every step re-verified because self_check is on).
+        # Long bone runs (the engine re-verifies every step).
         for params in (dict(oc=3, ob=1, cycles=450),
                        dict(oc=2, ob=2, cycles=420, units=2)):
             trace, _ = bone_trace(**params)
@@ -106,7 +106,7 @@ def test_criterion_2_maximality_self_check():
             config, rules = random_system(seed)
             rng = SplitMix64(seed)
             for _ in range(4):
-                result = step(config, rules, rng)  # self_check defaults on
+                result = step(config, rules, rng)
                 total += 1
                 if result.halted:
                     break

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,12 +16,13 @@ import pytest
 
 import mmsim
 from mmsim.bone import BoneParams, build_bone_model, density_series
-from mmsim.cli import main
+from mmsim.cli import _build_argparser, main
 from mmsim.core import MAX_COUNT, MAX_DEPTH
 from mmsim.engine import EngineOptions, run
 from mmsim.parser import parse_model, serialize_model
 from mmsim.tracefile import model_hash
 
+ROOT = Path(__file__).parent.parent
 CORPUS = Path(__file__).parent / "corpus"
 BONE = CORPUS / "valid" / "bone_default.mm"
 
@@ -317,6 +320,23 @@ def test_unwritable_trace_path_is_one_io_error_line(command, tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.count("\n") == 1 and out.err.startswith(f"{trace}: error: ")
+
+
+def test_readme_synopsis_lists_every_flag():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Command line\n+```\n(.*?)^```", readme, re.M | re.S).group(1)
+    documented: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        usage = line.split("#")[0]
+        if usage.startswith("mmsim "):
+            flags = documented.setdefault(usage.split()[1], set())
+        flags.update(re.findall(r"--[a-z][a-z-]*", usage))
+    sub = next(a for a in _build_argparser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    accepted = {name: {o for o in parser._option_string_actions
+                       if o.startswith("--") and o != "--help"}
+                for name, parser in sub.choices.items()}
+    assert documented == accepted
 
 
 def nested_chain(depth: int) -> str:

@@ -14,7 +14,7 @@ from mmsim.core import (
     build_configuration,
     render_tree,
 )
-from mmsim.engine import DepthExceeded, EngineOptions, run, step
+from mmsim.engine import DepthExceeded, run, step
 from mmsim.oracle import canonical_form, oracle_successors
 from mmsim.parser import parse_model, serialize_model
 from mmsim.rng import SplitMix64
@@ -87,10 +87,9 @@ def test_recursive_tree_code_works_at_max_depth():
 
 def test_moves_nesting_past_max_depth_raise_depth_exceeded():
     model = parse_model(y_chains(5, 100, 4))
-    for self_check in (True, False):
-        with pytest.raises(DepthExceeded, match=f"deeper than {MAX_DEPTH} levels") as failure:
-            run(model, EngineOptions(self_check=self_check), 3000)
-        assert failure.value.step == 14
+    with pytest.raises(DepthExceeded, match=f"deeper than {MAX_DEPTH} levels") as failure:
+        run(model, max_steps=3000)
+    assert failure.value.step == 14
 
 
 def test_moves_nesting_past_max_depth_are_one_error_line(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from mmsim import engine, oracle
 from mmsim.core import (
     MAX_COUNT,
+    MAX_DEPTH,
     build_configuration,
     endo,
     exo,
@@ -17,6 +18,7 @@ from mmsim.core import (
 )
 from mmsim.engine import (
     CountOverflow,
+    DepthExceeded,
     EngineOptions,
     InstanceBoundExceeded,
     SelfCheckViolation,
@@ -216,19 +218,70 @@ class TestSelfCheck:
     def test_move_with_locked_subject_accepted(self):
         self.rescan(self.MOVE, self.MOVE_RULES, {}, {1})
 
-    def test_disabled_self_check_runs_no_check(self, monkeypatch):
-        model = drain_model()
-        expected = run(model, EngineOptions(seed=2), max_steps=10)
+    def test_checks_run_once_per_step(self, monkeypatch):
+        # One token n is spent per step: steps 0..4 apply, step 5 halts.
+        model = parse_model("[skin: t, n*5] rule r: in skin: t, n -> t")
+        expected = run(model, max_steps=10)
+        calls = {"_check_maximal": 0, "_structural_violations": 0}
 
-        def fail(*args):
-            raise AssertionError("self-check ran")
+        def counting(name):
+            real = getattr(engine, name)
 
-        monkeypatch.setattr(engine, "_check_maximal", fail)
-        monkeypatch.setattr(engine, "_check_structure", fail)
-        monkeypatch.setattr(engine, "_structural_violations", fail)
-        assert run(model, EngineOptions(seed=2, self_check=False), max_steps=10) == expected
-        with pytest.raises(AssertionError, match="self-check ran"):
-            run(model, EngineOptions(seed=2), max_steps=10)
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(engine, name, wrapper)
+
+        for name in calls:
+            counting(name)
+        trace = run(model, max_steps=10)
+        assert trace == expected
+        moving = sum(not s.halted for s in trace.steps)
+        assert moving == 5 and trace.halted
+        assert calls == {"_check_maximal": moving, "_structural_violations": moving}
+
+    @staticmethod
+    def chain_state(depth: int):
+        """The flat state of a chain of *depth* membranes."""
+        tree = ("a", {}, [])
+        for _ in range(depth - 1):
+            tree = ("a", {}, [tree])
+        return engine._State(build_configuration(tree))
+
+    @staticmethod
+    def attach(state, parent: int, mid: int) -> None:
+        state.labels[mid] = "a"
+        state.contents[mid] = {}
+        state.children[mid] = []
+        state.children[parent].append(mid)
+        state.parent[mid] = parent
+
+    def test_chain_at_max_depth_is_valid(self):
+        assert engine._structural_violations(self.chain_state(MAX_DEPTH)) == []
+
+    def test_chain_past_max_depth_raises_depth_exceeded(self):
+        state = self.chain_state(MAX_DEPTH)
+        deepest = max(state.labels)
+        self.attach(state, deepest, 500)
+        self.attach(state, deepest, 300)
+        with pytest.raises(DepthExceeded) as failure:
+            engine._structural_violations(state)
+        assert str(failure.value) == (
+            f"an endo move nests membrane 300 deeper than {MAX_DEPTH} levels")
+
+    def test_underflow_in_apply_is_a_check_violation(self, monkeypatch):
+        real = engine._select_maximal
+
+        def doubled(state, candidates, rng):
+            residual, locked, counts = real(state, candidates, rng)
+            return residual, locked, [2 * k for k in counts]
+
+        monkeypatch.setattr(engine, "_select_maximal", doubled)
+        with pytest.raises(SelfCheckViolation, match="internal underflow applying 'load'") as failure:
+            run(drain_model(), max_steps=10)
+        assert failure.value.step == 0
+        assert failure.traceback[-1].name == "_apply"
 
 
 class TestStep:
@@ -378,6 +431,13 @@ class TestRun:
         with pytest.raises(ValueError, match="max_steps"):
             iter_steps(drain_model(), max_steps=-1)
 
+    @pytest.mark.parametrize("max_steps", [2.5, True, "3"])
+    def test_max_steps_must_be_an_int(self, max_steps):
+        with pytest.raises(ValueError, match="max_steps must be an int"):
+            iter_steps(drain_model(), max_steps=max_steps)
+        with pytest.raises(ValueError, match="max_steps must be an int"):
+            run(drain_model(), max_steps=max_steps)
+
     def test_label_total_overflow_at_start(self):
         model = parse_model(f"[skin: [A: a*{MAX_COUNT}] [A: a]]")
         with pytest.raises(CountOverflow, match="'A'.*'a'") as failure:
@@ -417,6 +477,12 @@ class TestOptions:
     def test_seed_must_be_unsigned_64_bit(self, seed):
         with pytest.raises(ValueError, match="unsigned 64-bit"):
             EngineOptions(seed=seed)
+
+    @pytest.mark.parametrize("value", [1.5, True, False, "1", None])
+    @pytest.mark.parametrize("field", ["seed", "max_instances_per_step"])
+    def test_fields_must_be_ints(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            EngineOptions(**{field: value})
 
     def test_seed_range_ends_are_accepted(self):
         assert EngineOptions(seed=0).seed == 0

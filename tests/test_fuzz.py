@@ -110,12 +110,11 @@ class _Generator:
 
     def flags(self, options: dict[str, tuple[tuple, tuple]]) -> list[str]:
         """Each flag present at even odds, with one of its good values or,
-        rarely, one of its bad ones; a value of None is a bare switch."""
+        rarely, one of its bad ones."""
         argv: list[str] = []
         for flag, (good, bad) in options.items():
             if self.chance(50):
-                value = self.pick(bad if bad and self.chance(8) else good)
-                argv += [flag] if value is None else [flag, value]
+                argv += [flag, self.pick(bad if bad and self.chance(8) else good)]
         return argv
 
 
@@ -145,7 +144,6 @@ def test_generated_models_through_cli(tmp_path, capsys):
         "--seed": (("0", "5", str((1 << 64) - 1)), ("-1", str(1 << 64))),
         "--trace": ((writable,), (unwritable,)),
         "--snapshot-every": (("1", "3"), ("-1", "0", "x")),
-        "--no-self-check": ((None,), ()),
     }
     model = tmp_path / "model.mm"
     for _ in range(MODEL_CASES):

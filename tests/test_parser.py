@@ -261,6 +261,12 @@ class TestLint:
         warnings = lint(model)
         assert any(w.startswith("dead-symbol") and "'z'" in w for w in warnings)
 
+    def test_promoter_reads_a_symbol(self):
+        # Phasing with a promoter token: b is never consumed, only read.
+        model = parse_model("[skin: a, c] rule r: in skin: a -> b "
+                            "rule s: in skin: c -> d if b rule t: in skin: d -> c")
+        assert lint(model) == []
+
     def test_warn_fixture_has_all_three(self):
         model = parse_model((CORPUS / "valid" / "warn.mm").read_bytes())
         codes = {w.split(":")[0] for w in lint(model)}
