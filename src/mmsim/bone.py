@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .core import MAX_COUNT, Rule, _Record, _set, build_configuration, rewrite
+from .core import MAX_COUNT, Rule, _Record, _require_int, _set, build_configuration, rewrite
 from .coupling import CouplingSpec, cycle_end_step, generate_carrier_protocol
 from .engine import Trace, TraceStep
 from .parser import Model
@@ -73,6 +73,11 @@ class BoneParams(_Record):
 
     def __init__(self, capacity: int = 20, density: float = 0.5, oc: int = 0, ob: int = 0,
                  cycles: int = 1, units: int = 1) -> None:
+        for name, value in (("capacity", capacity), ("oc", oc), ("ob", ob),
+                            ("cycles", cycles), ("units", units)):
+            _require_int(name, value)
+        if isinstance(density, bool) or not isinstance(density, (int, float)):
+            raise ValueError(f"density must be an int or a float, got {density!r}")
         # Each of these becomes an object count (the payload is at most
         # ``capacity``), and no count may exceed MAX_COUNT.
         if not 1 <= capacity <= MAX_COUNT:

@@ -226,6 +226,11 @@ _MOVE_FORMS = (RuleForm.ENDO, RuleForm.EXO)
 _set = object.__setattr__
 
 
+def _require_int(name: str, value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 class _Record:
     """Base of the immutable record types.
 

@@ -38,14 +38,13 @@ so the public per-step calls below reuse it rather than recompile.
 A run steps one flat, id-indexed state in place; immutable
 :class:`Configuration` values are built only where the API hands one out.
 The state keeps running per-label object totals: effect application
-updates them as it changes counts, and a step re-sorts the snapshot only of
-labels whose counts changed.  An unchanged label shares its snapshot dict
-with the previous step, so ``TraceStep.state`` is read-only.  Selection and
-the maximality rescan are each one loop over the flat candidate tuples
-built at enumeration (source membrane, consumed items, lock pair), with
-the residual counts and the locked membranes in a plain dict and set;
-there is no selection object and no call per candidate.  Selection copies
-a membrane's counts only when an instance first consumes from it.
+updates them as it changes counts, and each step hands out its own copy of
+the label totals.  Selection and the maximality rescan are each one loop
+over the flat candidate tuples built at enumeration (source membrane,
+consumed items, lock pair), with the residual counts and the locked
+membranes in a plain dict and set; there is no selection object and no
+call per candidate.  Selection copies a membrane's counts only when an
+instance first consumes from it.
 
 If no instance is applicable the step reports ``halted`` and leaves the
 state unchanged.
@@ -64,6 +63,7 @@ from typing import Iterator, Sequence
 from .core import (
     MAX_COUNT,
     MAX_DEPTH,
+    _require_int,
     _set,
     _Record,
     Configuration,
@@ -120,11 +120,6 @@ class SelfCheckViolation(EngineError):
     """A post-step maximality or validity assertion failed (engine bug)."""
 
 
-def _require_int(name: str, value: object) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-
-
 class EngineOptions(_Record):
     __slots__ = ("seed", "max_instances_per_step")
 
@@ -165,9 +160,8 @@ class AppliedRule(_Record):
 
 
 class TraceStep(_Record):
-    """One step of a run.  ``state`` holds the post-step object totals
-    aggregated per membrane label.  It is read-only: a label whose counts
-    did not change shares its dict with the previous step."""
+    """One step of a run.  ``state`` holds the step's own copy of the
+    post-step object totals aggregated per membrane label."""
 
     __slots__ = ("index", "applied", "halted", "state")
 
@@ -274,9 +268,7 @@ class _State:
 
     Labels never change, so ``by_label`` (ids in increasing order) is built
     once and stays valid for the whole run.  ``totals`` holds the running
-    object totals per label, ``changed`` the labels whose totals changed
-    since the last snapshot, and ``snapshot`` the sorted totals last handed
-    out.
+    object totals per label; each step hands out its own copy of them.
     """
 
     def __init__(self, config: Configuration):
@@ -303,8 +295,6 @@ class _State:
                         f"label {m.label!r} holds more than {MAX_COUNT} of {sym!r} in all")
                 total[sym] = n
         self.by_label = {label: sorted(ids) for label, ids in by_label.items()}
-        self.changed: set[str] = set(self.by_label)
-        self.snapshot: dict[str, dict[str, int]] = dict.fromkeys(self.by_label)
 
     def config(self) -> Configuration:
         def build(mid: int) -> Membrane:
@@ -444,7 +434,7 @@ def _select_maximal(state: _State, candidates: list[tuple], rng: SplitMix64
 
 def _apply(state: _State, applied: Sequence[tuple[tuple, int]]) -> None:
     contents, parent, children = state.contents, state.parent, state.children
-    labels, totals, changed = state.labels, state.totals, state.changed
+    labels, totals = state.labels, state.totals
     # Every consumption is charged before any production, so totals only
     # grow in the second loop and its overflow check sees no transient peak.
     for (_, _, _, _, source, consumed, _, e), k in applied:
@@ -466,7 +456,6 @@ def _apply(state: _State, applied: Sequence[tuple[tuple, int]]) -> None:
                 total[sym] = left
             else:
                 del total[sym]
-        changed.add(label)
     moves: list[tuple[int, int]] = []
     for (_, sid, hid, pid, _, _, locks, e), k in applied:
         if e.produced:
@@ -485,7 +474,6 @@ def _apply(state: _State, applied: Sequence[tuple[tuple, int]]) -> None:
                         f"label {label!r} above {MAX_COUNT}")
                 total[sym] = count
                 dst[sym] = dst.get(sym, 0) + kn
-            changed.add(label)
         if locks is not None:
             # EXO leaves the host for the host's parent; every target is read
             # before any move below changes a parent.
@@ -585,13 +573,8 @@ def step(config: Configuration, rules: Sequence[Rule], rng: SplitMix64,
 
 
 def _totals(state: _State) -> dict[str, dict[str, int]]:
-    """The per-label snapshot; only labels that changed are re-sorted."""
-    snapshot = state.snapshot
-    for label in state.changed:
-        # Sorted, so the order does not depend on which rules touched a count.
-        snapshot[label] = dict(sorted(state.totals[label].items()))
-    state.changed.clear()
-    return dict(snapshot)
+    """A fresh copy of the running per-label totals."""
+    return {label: dict(total) for label, total in state.totals.items()}
 
 
 def label_totals(config: Configuration) -> dict[str, dict[str, int]]:

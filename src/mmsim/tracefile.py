@@ -43,6 +43,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
+from .core import _require_int
 from .engine import EngineError, Trace, TraceStep
 from .parser import Model, serialize_model
 
@@ -88,6 +89,7 @@ def trace_lines(seed: int, rng: str, digest: str, steps: Iterable[TraceStep],
     carry its state.  An :class:`~mmsim.engine.EngineError` from *steps*
     is re-raised after the held-back step's line.
     """
+    _require_int("snapshot_every", snapshot_every)
     if snapshot_every < 1:
         raise ValueError("snapshot_every must be >= 1")
     yield _dump({"seed": seed, "rng": rng, "model_hash": digest})

@@ -184,6 +184,9 @@ class TestParams:
     @pytest.mark.parametrize("bad", [
         dict(capacity=0), dict(density=1.5), dict(density=-0.2),
         dict(oc=-1), dict(ob=-1), dict(cycles=-1), dict(units=0),
+        dict(units=2.5), dict(capacity=2.5), dict(units=True), dict(capacity=True),
+        dict(oc=True), dict(ob=1.0), dict(cycles="1"), dict(density="0.5"),
+        dict(density=True), dict(density=None),
     ])
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from mmsim.cli import _build_argparser, main
 from mmsim.core import MAX_COUNT, MAX_DEPTH
 from mmsim.engine import EngineOptions, run
 from mmsim.parser import parse_model, serialize_model
-from mmsim.tracefile import model_hash
+from mmsim.tracefile import model_hash, trace_lines
 
 ROOT = Path(__file__).parent.parent
 CORPUS = Path(__file__).parent / "corpus"
@@ -107,6 +107,11 @@ class TestRun:
         records = [json.loads(line) for line in trace.read_text().splitlines()[1:]]
         with_state = [r["step"] for r in records if "state" in r]
         assert with_state == [0, 4, 8, 12, 14]  # every 4th plus the final step
+
+    @pytest.mark.parametrize("every", [1.5, True, "2"])
+    def test_snapshot_every_must_be_an_int(self, every):
+        with pytest.raises(ValueError, match="snapshot_every must be an int"):
+            list(trace_lines(0, "rng", "", [], every))
 
     def test_parse_error_exit_one(self, capsys):
         assert main(["run", str(CORPUS / "invalid" / "bad_token.mm")]) == 1
@@ -337,6 +342,15 @@ def test_readme_synopsis_lists_every_flag():
                        if o.startswith("--") and o != "--help"}
                 for name, parser in sub.choices.items()}
     assert documented == accepted
+
+
+def test_readme_python_api_and_bone_example_hold(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    api = re.search(r"^## Python API\n+```python\n(.*?)^```", readme, re.M | re.S).group(1)
+    exec(api, {})  # imports every name the block lists
+    example = re.search(r"^```sh\n\$ mmsim (bone [^\n]*)\n(.*?)^```", readme, re.M | re.S)
+    assert main(example.group(1).split()) == 0
+    assert capsys.readouterr().out == example.group(2)
 
 
 def nested_chain(depth: int) -> str:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from mmsim import engine, oracle
@@ -30,7 +32,8 @@ from mmsim.engine import (
 )
 from mmsim.oracle import canonical_form, oracle_successors
 from mmsim.parser import Model, parse_model, serialize_model
-from mmsim.rng import SplitMix64
+from mmsim.rng import RNG_ALGORITHM, SplitMix64
+from mmsim.tracefile import trace_lines
 
 from conftest import random_deep_system, random_system
 
@@ -458,11 +461,15 @@ class TestRun:
         assert [a.rule for a in first.applied] == ["p", "q"]
         assert first.state["A"] == {"b": MAX_COUNT, "y": 1}
 
-    def test_unchanged_labels_share_snapshots(self):
+    def test_mutating_a_step_state_leaves_later_steps_alone(self):
         model = parse_model("[skin: a*3 [V: x] [W: y]] rule burn: in skin: a -> b")
-        first, second = run(model, max_steps=2).steps
-        assert first.state["V"] is second.state["V"]
-        assert first.state["skin"] == {"b": 3} and second.state["skin"] == {"b": 3}
+        steps = iter_steps(model, max_steps=2)
+        first = next(steps)
+        first.state["V"]["x"] = 99
+        second = next(steps)
+        assert second.state == {"skin": {"b": 3}, "V": {"x": 1}, "W": {"y": 1}}
+        line = list(trace_lines(0, RNG_ALGORITHM, "", [second]))[1]
+        assert json.loads(line)["state"]["V"] == {"x": 1}
 
     def test_seeds_can_pick_different_maximal_sets(self):
         model = parse_model(
