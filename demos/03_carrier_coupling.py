@@ -15,8 +15,13 @@ from mmsim import (
     run,
 )
 
+# This unit has no micro rules, so the carrier needs no wait phase between
+# delivery and pickup: the protocol is its 17 fixed rules, and a cycle is
+# 10 steps.  (The bone study's two micro levels add two waits: 19 rules,
+# 12 steps.)
 spec = CouplingSpec()
-rules = generate_carrier_protocol(spec)
+micro = ()
+rules = generate_carrier_protocol(spec, micro)
 print(f"the protocol compiles to {len(rules)} ordinary rules:")
 for rule in rules:
     print(" ", rule_text(rule))
@@ -44,5 +49,5 @@ print()
 print("final tree:")
 print(render_tree(trace.final.skin))
 print()
-print(f"a steady-state macro-cycle takes {carrier_cycle_length()} steps;")
+print(f"a steady-state macro-cycle takes {carrier_cycle_length(micro)} steps;")
 print("the first one pays 2 extra steps to leave the coupling membrane.")

@@ -14,16 +14,17 @@ consumable actor tokens:
 
 Each tissue patch T_i is paired with a coupling membrane CU_i holding its
 BMU_i and a carrier V_i.  The carrier drains the patch's tokens, delivers
-them to the BMU, waits two steps while the rules above run, picks up what
-is left plus what was formed, and deposits the result back in the patch;
-one round trip per cycle token.  Because formation needs a free slot, net
-growth is capped by prior resorption within the run.
+them to the BMU, waits one step per level of the rules above (resorption,
+then formation), picks up what is left plus what was formed, and deposits
+the result back in the patch; one round trip per cycle token.  Because
+formation needs a free slot, net growth is capped by prior resorption
+within the run.
 
 Every carrier advances exactly one phase per step until it parks: each
 phase has one rule that advances it, and a carrier's moves lock only its
 own unit's membranes, so the mover-lock never refuses one.  All units
 therefore end round trip k in the same step,
-``mmsim.coupling.cycle_end_step(k)``, which is where
+``mmsim.coupling.cycle_end_step(k, micro_rules(spec))``, which is where
 :class:`DensitySampler` reads the densities.
 
 Everything here returns plain models and rules; serialization is
@@ -36,7 +37,8 @@ import math
 from typing import Iterable
 
 from .core import MAX_COUNT, Rule, _Record, _require_int, _set, build_configuration, rewrite
-from .coupling import CouplingSpec, cycle_end_step, generate_carrier_protocol
+from .coupling import (CouplingSpec, _phase, carrier_cycle_length, cycle_end_step,
+                       generate_carrier_protocol)
 from .engine import Trace, TraceStep
 from .parser import Model
 
@@ -133,14 +135,8 @@ def micro_rules(spec: CouplingSpec) -> tuple[Rule, Rule]:
 
 def unit_spec(unit: int) -> CouplingSpec:
     """The coupling spec of tissue unit *unit* (1-based)."""
-    return CouplingSpec(
-        macro_label=f"T{unit}",
-        micro_label=f"BMU{unit}",
-        coupling_label=f"CU{unit}",
-        carrier_label=f"V{unit}",
-        payload_symbol="c",
-        cycle_symbol="cyc",
-    )
+    return CouplingSpec(macro_label=f"T{unit}", micro_label=f"BMU{unit}",
+                        coupling_label=f"CU{unit}", carrier_label=f"V{unit}")
 
 
 def build_bone_model(params: BoneParams) -> Model:
@@ -155,15 +151,15 @@ def build_bone_model(params: BoneParams) -> Model:
     rules: list[Rule] = []
     for unit in range(1, params.units + 1):
         spec = unit_spec(unit)
-        carrier_start = {spec.phase_symbols[0]: 1}
+        carrier_start = dict(_phase(0))
         if params.cycles:
             carrier_start[spec.cycle_symbol] = params.cycles
         tissue = (spec.macro_label, {spec.payload_symbol: tokens} if tokens else None, ())
         bmu = (spec.micro_label, bmu_stock, ())
         carrier = (spec.carrier_label, carrier_start, ())
         skin_children += [tissue, (spec.coupling_label, None, (bmu, carrier))]
-        rules.extend(generate_carrier_protocol(spec))
-        rules.extend(micro_rules(spec))
+        micro = micro_rules(spec)
+        rules += generate_carrier_protocol(spec, micro) + micro
     return Model(build_configuration(("skin", None, skin_children)), tuple(rules))
 
 
@@ -173,10 +169,11 @@ class DensitySampler:
 
     Every carrier starts in p0 at step 0 and advances exactly one phase per
     step, so round trip k of every unit ends in the same step,
-    ``cycle_end_step(k)``, whether or not it carries anything back; the
-    sample is the tissue's payload count right after that step.  Feed the
-    steps of a run in order, from step 0, to :meth:`add`; ``series[unit]``
-    then holds ``(cycle, density)`` for every cycle completed so far.
+    ``cycle_end_step(k, micro_rules(spec))``, whether or not it carries
+    anything back; the sample is the tissue's payload count right after
+    that step.  Feed the steps of a run in order, from step 0, to
+    :meth:`add`; ``series[unit]`` then holds ``(cycle, density)`` for every
+    cycle completed so far.
     """
 
     def __init__(self, units: Iterable[int], capacity: int):
@@ -184,6 +181,8 @@ class DensitySampler:
         self.series: dict[int, list[tuple[int, float]]] = {}
         self._specs: dict[int, CouplingSpec] = {}
         self._cycles = 0  # round trips completed so far
+        micro = micro_rules(CouplingSpec())  # the schedule is derived once per run
+        self._first_end, self._cycle_length = cycle_end_step(1, micro), carrier_cycle_length(micro)
         for unit in units:
             self._specs[unit] = unit_spec(unit)
             self.series[unit] = []
@@ -195,7 +194,7 @@ class DensitySampler:
             for unit, spec in self._specs.items():
                 if spec.macro_label not in state:
                     raise ValueError(f"unit {unit} out of range for this trace")
-        if step.index != cycle_end_step(self._cycles + 1):
+        if step.index != self._first_end + self._cycles * self._cycle_length:
             return
         self._cycles += 1
         for unit, spec in self._specs.items():

@@ -17,8 +17,8 @@ import sys
 from collections import deque
 from typing import Callable, Iterator
 
-from .bone import BoneParams, DensitySampler, build_bone_model
-from .coupling import cycle_end_step
+from .bone import BoneParams, DensitySampler, build_bone_model, micro_rules
+from .coupling import CouplingSpec, cycle_end_step
 from .engine import EngineError, EngineOptions, TraceStep, iter_steps, label_totals
 from .parser import Model, ParseError, lint, parse_model, serialize_model
 from .rng import RNG_ALGORITHM
@@ -156,7 +156,8 @@ def cmd_bone(params: BoneParams, seed: int = 0, emit_model: str | None = None,
             print(f"{emit_model}: error: {exc.strerror or exc}", file=sys.stderr)
             return EXIT_IO
     # The last round trip's deposit step, then the halting step.
-    steps = iter_steps(model, options, max_steps=cycle_end_step(params.cycles) + 2)
+    last_end = cycle_end_step(params.cycles, micro_rules(CouplingSpec()))
+    steps = iter_steps(model, options, max_steps=last_end + 2)
     sampler = DensitySampler(range(1, params.units + 1), params.capacity)
     status = _drive(model, options, steps, sampler.add, trace_path, 1)
     if status != EXIT_OK:

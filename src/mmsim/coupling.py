@@ -6,10 +6,12 @@ membrane and back, implemented entirely as ordinary rewrite, endo, exo,
 send-in and send-out rules: the engine runs the composed model with no
 coupling-specific hooks or external scheduling.
 
-Phase tokens ``p0 .. p13`` inside the carrier gate every leg of the round
-trip, and direction-distinct cargo symbols keep deliveries and pickups
-from racing.  One full round trip, with the default labels
-(tissue ``T``, micro ``BMU``, coupling ``CU``, carrier ``V``, payload ``c``):
+The carrier walks a phase table, one phase per step: in phase ``i`` it
+holds the token ``p<i>``, which promotes the phase's transfers, and one
+rule advances it.  Direction-distinct cargo symbols keep deliveries and
+pickups from racing.  With the bone's two micro levels and the default
+labels (tissue ``T``, micro ``BMU``, coupling ``CU``, carrier ``V``,
+payload ``c``), one round trip walks ``p0 .. p13``:
 
     depart        exo V from CU, paying one cycle token   p0 -> p1
     enter tissue  endo V into T                           p1 -> p2
@@ -18,8 +20,8 @@ from racing.  One full round trip, with the default labels
                   endo V into CU                          p4 -> p5
                   endo V into BMU                         p5 -> p6
     deliver       send-out all _cl as _cb (one step)      p6 -> p7
-    wait          micro dynamics act on _cb               p7 -> p8
-    wait          and on what they produced               p8 -> p9
+    wait          level 1: BMU_resorb acts on _cb         p7 -> p8
+    wait          level 2: BMU_form acts on its product   p8 -> p9
     pickup        send-in _cb and _cn as _cr (one step)   p9 -> p10
     travel back   exo V from BMU                          p10 -> p11
                   exo V from CU                           p11 -> p12
@@ -29,40 +31,42 @@ from racing.  One full round trip, with the default labels
 
 Because departure and every restart consume one cycle token, a model
 seeded with ``cycles`` tokens performs exactly that many round trips and
-then halts with the carrier parked (in p13 inside the tissue, or in p0 if
-no cycle token was ever available).  The macro count is read destructively
-(drain) and written back (deposit); between the two it lives in the
-carrier and the micro membrane.
+then halts with the carrier parked (in the last phase inside the tissue,
+or in p0 if no cycle token was ever available).  The macro count is read
+destructively (drain) and written back (deposit); between the two it
+lives in the carrier and the micro membrane.
 
-Micro-scale dynamics themselves are not generated here; they are whatever
-rules the micro model provides for the delivered ``_cb`` tokens (see
-``mmsim.bone`` for the remodelling example).  The two wait steps give such
-two-stage micro dynamics room to finish before pickup.
+Micro dynamics are the unit's ``in <micro label>`` rewrites (see
+``mmsim.bone``), with one wait phase per level.  A micro rule's level is
+one more than the highest level of the micro rules that make a symbol it
+consumes or reads as a promoter.  Only the delivery feeds level 1, so by
+maximality and induction a level-d rule is dead d steps after it, and the
+micro membrane is quiescent at pickup.  Cyclic micro rules are rejected.
 """
 
 from __future__ import annotations
 
-from .core import (Multiset, Rule, _Record, _set, endo, exo, is_reserved_symbol, is_symbol,
-                   rewrite, send_in, send_out)
+from functools import cache
+from typing import Iterable
 
-__all__ = ["CouplingSpec", "generate_carrier_protocol", "carrier_cycle_length",
-           "cycle_end_step"]
+from .core import (Multiset, Rule, RuleForm, _Record, _set, endo, exo, is_reserved_symbol,
+                   is_symbol, rewrite, send_in, send_out)
 
-_PHASE_COUNT = 14
-_DRAIN_PHASE = 2
+__all__ = ["CouplingSpec", "generate_carrier_protocol", "carrier_cycle_length", "cycle_end_step"]
 
-_PHASE_SYMBOLS = tuple(f"p{i}" for i in range(_PHASE_COUNT))
-# Multisets are immutable, so every spec hands out the same phase tokens.
-_PHASES = tuple(Multiset({sym: 1}) for sym in _PHASE_SYMBOLS)
+
+@cache  # multisets are immutable, so every unit shares the phase tokens
+def _phase(index: int) -> Multiset:
+    return Multiset({f"p{index}": 1})
 
 
 class CouplingSpec(_Record):
     """Labels and symbols for one macro/micro unit.
 
     User-chosen names must stay outside the reserved namespace: generated
-    cargo symbols start with an underscore and phase tokens are ``p0`` ..
-    ``p13``, so user symbols may not start with ``_`` or collide with a
-    generated name.
+    cargo symbols start with an underscore and phase tokens are ``p`` and
+    digits, as many as the micro rules need, so user names may not start
+    with ``_``, look like a phase token, or collide with a cargo symbol.
     """
 
     __slots__ = ("macro_label", "micro_label", "coupling_label", "carrier_label",
@@ -89,8 +93,8 @@ class CouplingSpec(_Record):
             raise ValueError(f"membrane labels must be pairwise distinct, got {labels}")
         if self.payload_symbol == self.cycle_symbol:
             raise ValueError("payload and cycle symbols must differ")
-        generated = set(self.phase_symbols) | set(self.cargo_symbols)
-        clash = generated.intersection(user_symbols)
+        clash = {name for name in user_symbols if name in self.cargo_symbols
+                 or name[0] == "p" and name[1:].isdigit()}
         if clash:
             raise ValueError(f"user names collide with generated symbols: {sorted(clash)}")
 
@@ -116,64 +120,84 @@ class CouplingSpec(_Record):
         return (self.cargo_loaded, self.cargo_delivered,
                 self.cargo_remodelled, self.cargo_returning)
 
-    @property
-    def phase_symbols(self) -> tuple[str, ...]:
-        return _PHASE_SYMBOLS
-
     def rule_id(self, name: str) -> str:
         return f"{self.carrier_label}_{name}"
 
 
-def generate_carrier_protocol(spec: CouplingSpec) -> tuple[Rule, ...]:
-    """The fixed 19-rule carrier protocol for one unit.
+def _wait_names(micro: Iterable[Rule], label: str | None = None) -> list[str]:
+    """Wait rule names for *micro*, ``in`` rewrites of *label* (by default the
+    first rule's): per level, ``wait_`` and its first rule id without the
+    ``<label>_`` prefix.  A level holds the rules fed only by earlier ones."""
+    rules = list(micro)
+    label = label or (rules[0].subject if rules else None)
+    for rule in rules:
+        if rule.form is not RuleForm.REWRITE or rule.subject != label:
+            raise ValueError(f"micro rule {rule.id!r} is not an 'in {label}' rewrite")
+    needs = [{*rule.consumed, *(rule.promoter or ())} for rule in rules]
+    producers = [{i for i, q in enumerate(rules) if s.intersection(q.produced)} for s in needs]
+    left, names = range(len(rules)), []
+    while left:
+        level = [i for i in left if producers[i].isdisjoint(left)]
+        if not level:
+            raise ValueError(f"micro rules fed by a cycle: {[rules[i].id for i in left]}")
+        names.append("wait_" + rules[level[0]].id.removeprefix(f"{label}_"))
+        left = [i for i in left if i not in level]
+    return names
 
-    All rules are anchored to the four labels of *spec*; composing several
-    units with distinct labels yields independent protocols.
-    """
-    V, T, CU, BMU = (spec.carrier_label, spec.macro_label,
-                     spec.coupling_label, spec.micro_label)
-    p = _PHASES
-    cyc = Multiset({spec.cycle_symbol: 1})
-    payload = Multiset({spec.payload_symbol: 1})
-    loaded = Multiset({spec.cargo_loaded: 1})
-    delivered = Multiset({spec.cargo_delivered: 1})
-    remodelled = Multiset({spec.cargo_remodelled: 1})
-    returning = Multiset({spec.cargo_returning: 1})
-    rid = spec.rule_id
 
-    return (
-        exo(rid("depart"), V, CU, p[0] + cyc, p[1]),
-        endo(rid("enter_tissue"), V, T, p[1], p[_DRAIN_PHASE]),
-        send_in(rid("drain"), V, payload, loaded, promoter=p[_DRAIN_PHASE]),
-        rewrite(rid("drain_done"), V, p[_DRAIN_PHASE], p[3]),
-        exo(rid("exit_tissue"), V, T, p[3], p[4]),
-        endo(rid("enter_coupling"), V, CU, p[4], p[5]),
-        endo(rid("enter_micro"), V, BMU, p[5], p[6]),
-        send_out(rid("deliver"), V, loaded, delivered, promoter=p[6]),
-        rewrite(rid("deliver_done"), V, p[6], p[7]),
-        rewrite(rid("wait_resorb"), V, p[7], p[8]),
-        rewrite(rid("wait_form"), V, p[8], p[9]),
-        send_in(rid("pickup_kept"), V, delivered, returning, promoter=p[9]),
-        send_in(rid("pickup_new"), V, remodelled, returning, promoter=p[9]),
-        rewrite(rid("pickup_done"), V, p[9], p[10]),
-        exo(rid("exit_micro"), V, BMU, p[10], p[11]),
-        exo(rid("exit_coupling"), V, CU, p[11], p[12]),
-        endo(rid("reenter_tissue"), V, T, p[12], p[13]),
-        send_out(rid("deposit"), V, returning, payload, promoter=p[13]),
-        rewrite(rid("restart"), V, p[13] + cyc, p[_DRAIN_PHASE]),
+def _phase_table(spec: CouplingSpec, waits: Iterable[str]) -> tuple[tuple, int]:
+    """The carrier's phases in order, and the drain phase's position.  A
+    phase lists the transfers it promotes, ``(name, make, consumed,
+    produced)``, then the rule that advances it, ``(name, make, *host)``."""
+    T, CU, BMU = spec.macro_label, spec.coupling_label, spec.micro_label
+    c, cl, cb, cn, cr = (Multiset({s: 1}) for s in (spec.payload_symbol, *spec.cargo_symbols))
+    lead_in = ((("depart", exo, CU),), (("enter_tissue", endo, T),))
+    cycle = (
+        (("drain", send_in, c, cl), ("drain_done", rewrite)),
+        (("exit_tissue", exo, T),),
+        (("enter_coupling", endo, CU),),
+        (("enter_micro", endo, BMU),),
+        (("deliver", send_out, cl, cb), ("deliver_done", rewrite)),
+        *(((name, rewrite),) for name in waits),
+        (("pickup_kept", send_in, cb, cr), ("pickup_new", send_in, cn, cr),
+         ("pickup_done", rewrite)),
+        (("exit_micro", exo, BMU),),
+        (("exit_coupling", exo, CU),),
+        (("reenter_tissue", endo, T),),
+        (("deposit", send_out, cr, c), ("restart", rewrite)),
     )
+    return lead_in + cycle, len(lead_in)
 
 
-def carrier_cycle_length() -> int:
-    """Engine steps of one steady-state macro-cycle (p2 back to p2)."""
-    return _PHASE_COUNT - _DRAIN_PHASE
+def generate_carrier_protocol(spec: CouplingSpec, micro: Iterable[Rule]) -> tuple[Rule, ...]:
+    """The carrier protocol of the unit *spec* with micro rules *micro*: 17
+    rules plus one wait rule per micro level, all anchored to the unit's
+    four labels.  Micro rules that are not ``in`` rewrites of the micro
+    label, or that feed each other in a cycle, raise ``ValueError``."""
+    table, drain = _phase_table(spec, _wait_names(micro, spec.micro_label))
+    V, cyc, last = spec.carrier_label, Multiset({spec.cycle_symbol: 1}), len(table) - 1
+    rules: list[Rule] = []
+    for index, (*transfers, (name, make, *host)) in enumerate(table):
+        phase = _phase(index)
+        rules += (send(spec.rule_id(transfer), V, consumed, produced, promoter=phase)
+                  for transfer, send, consumed, produced in transfers)
+        # Departure (out of the first phase) and restart (out of the last) pay a cycle token.
+        paid = phase + cyc if index in (0, last) else phase
+        following = _phase(index + 1 if index < last else drain)
+        rules.append(make(spec.rule_id(name), V, *host, paid, following))
+    return tuple(rules)
 
 
-def cycle_end_step(k: int) -> int:
-    """Index of the step in which round trip *k* (counting from 1) deposits.
+def carrier_cycle_length(micro: Iterable[Rule] = ()) -> int:
+    """Engine steps of one steady-state macro-cycle (drain phase back to
+    drain phase) of a unit with micro rules *micro*: 10 + their levels."""
+    table, drain = _phase_table(CouplingSpec(), _wait_names(micro))
+    return len(table) - drain
 
-    The carrier departs from p0 in step 0 and advances one phase per step;
-    restart takes it from the last phase back to the drain phase.  The step
-    after the last round trip is the halting step.
-    """
-    return _DRAIN_PHASE + k * carrier_cycle_length() - 1
+
+def cycle_end_step(k: int, micro: Iterable[Rule] = ()) -> int:
+    """The step in which round trip *k* (from 1) of a unit with micro rules
+    *micro* deposits: the carrier leaves the first phase in step 0 and moves
+    one phase per step.  The step after the last round trip halts."""
+    table, drain = _phase_table(CouplingSpec(), _wait_names(micro))
+    return drain + k * (len(table) - drain) - 1

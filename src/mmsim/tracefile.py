@@ -87,12 +87,17 @@ def trace_lines(seed: int, rng: str, digest: str, steps: Iterable[TraceStep],
 
     One step is held back until the next arrives, so the last line can
     carry its state.  An :class:`~mmsim.engine.EngineError` from *steps*
-    is re-raised after the held-back step's line.
+    is re-raised after the held-back step's line.  A bad *snapshot_every*
+    raises here, before any line is pulled.
     """
     _require_int("snapshot_every", snapshot_every)
     if snapshot_every < 1:
         raise ValueError("snapshot_every must be >= 1")
-    yield _dump({"seed": seed, "rng": rng, "model_hash": digest})
+    return _lines(_dump({"seed": seed, "rng": rng, "model_hash": digest}), steps, snapshot_every)
+
+
+def _lines(header: str, steps: Iterable[TraceStep], snapshot_every: int) -> Iterator[str]:
+    yield header
     rule_json = _JsonStrings()
     held: TraceStep | None = None
     try:

@@ -153,3 +153,51 @@ def random_deep_system(seed: int) -> tuple[Configuration, list[Rule]]:
         rules.append(Rule(f"r{r}", form, labels[anchor], consumed, produced,
                           host=host, promoter=promoter))
     return config, rules
+
+
+MICRO_STOCK = ("_s0", "_s1", "_s2")
+
+
+def random_micro_rules(seed: int, label: str, delivered: str,
+                       remodelled: str) -> tuple[list[Rule], int]:
+    """A pseudo-random acyclic set of ``in label`` rewrites of 1 to 4 levels,
+    and its number of levels.
+
+    A level-1 rule consumes or promotes, at random, *delivered*; a rule of
+    level d > 1 does so with a symbol made by a rule of level d - 1.  Each
+    may read stock symbols (``MICRO_STOCK``), *delivered* or lower-level
+    products besides.  Each rule makes its own symbol and, at random,
+    *remodelled*, which no micro rule reads.
+    """
+    rng = SplitMix64(seed)
+
+    def pick(pool):
+        return pool[rng.below(len(pool))]
+
+    levels = 1 + rng.below(4)
+    pool = [delivered, *MICRO_STOCK]
+    rules: list[Rule] = []
+    made: list[str] = []
+    for level in range(1, levels + 1):
+        pool += made  # the products of all lower levels
+        previous, made = made, []
+        for j in range(1 + rng.below(2)):
+            link = pick(previous) if previous else delivered
+            consumed: dict[str, int] = {}
+            promoter: dict[str, int] = {}
+            (consumed if rng.below(2) else promoter)[link] = 1
+            for _ in range(rng.below(3)):
+                sym = pick(pool)
+                if sym not in consumed and sym not in promoter:
+                    (consumed if rng.below(2) else promoter)[sym] = 1
+            if not consumed:  # a rule must consume something
+                stock = pick(MICRO_STOCK)
+                consumed[stock] = 1
+                promoter.pop(stock, None)
+            own = f"_m{level}{j}"
+            produced = {own: 1, remodelled: 1} if rng.below(2) else {own: 1}
+            rules.append(Rule(f"{label}_r{level}{j}", RuleForm.REWRITE, label,
+                              Multiset(consumed), Multiset(produced),
+                              promoter=Multiset(promoter) or None))
+            made.append(own)
+    return rules, levels

@@ -13,9 +13,10 @@ from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
 
-from mmsim.bone import BoneParams, build_bone_model, density_series, transit_total, unit_spec
+from mmsim.bone import (BoneParams, build_bone_model, density_series, micro_rules,
+                        transit_total, unit_spec)
 from mmsim.cli import main
-from mmsim.coupling import carrier_cycle_length
+from mmsim.coupling import CouplingSpec, carrier_cycle_length
 from mmsim.engine import EngineOptions, Trace, run, step
 from mmsim.oracle import OracleBoundExceeded, canonical_form, oracle_successors
 from mmsim.parser import ParseError, Model, parse_model, serialize_model
@@ -165,8 +166,9 @@ def test_criterion_6_protocol_timing():
                   if any(a.rule == "V1_drain_done" for a in s.applied)]
         assert len(drains) == 4
         gaps = {later - earlier for earlier, later in zip(drains, drains[1:])}
-        assert gaps == {carrier_cycle_length()}
-        assert carrier_cycle_length() == 12
+        micro = micro_rules(CouplingSpec())
+        assert gaps == {carrier_cycle_length(micro)}
+        assert carrier_cycle_length(micro) == 12
 
 
 def test_criterion_7_parser_round_trip_and_fuzz():

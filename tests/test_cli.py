@@ -113,6 +113,12 @@ class TestRun:
         with pytest.raises(ValueError, match="snapshot_every must be an int"):
             list(trace_lines(0, "rng", "", [], every))
 
+    @pytest.mark.parametrize("every", [0, 1.5])
+    def test_snapshot_every_is_checked_at_the_call(self, every):
+        # Like iter_steps, a bad argument raises before any line is pulled.
+        with pytest.raises(ValueError, match="snapshot_every"):
+            trace_lines(0, "r", "", [], every)
+
     def test_parse_error_exit_one(self, capsys):
         assert main(["run", str(CORPUS / "invalid" / "bad_token.mm")]) == 1
         capsys.readouterr()

@@ -4,14 +4,23 @@ from __future__ import annotations
 
 import pytest
 
-from mmsim.bone import BoneParams, build_bone_model
+from mmsim.bone import BoneParams, build_bone_model, micro_rules, unit_spec
+from mmsim.core import build_configuration, rewrite, send_out
 from mmsim.coupling import (
     CouplingSpec,
     carrier_cycle_length,
     cycle_end_step,
     generate_carrier_protocol,
 )
-from mmsim.engine import EngineOptions, Trace, run
+from mmsim.engine import EngineOptions, Trace, run, step
+from mmsim.oracle import canonical_form, oracle_successors
+from mmsim.parser import Model
+from mmsim.rng import SplitMix64
+
+from conftest import MICRO_STOCK, random_micro_rules
+
+# The bone's micro rules: two levels, so two wait phases.
+BONE_MICRO = micro_rules(CouplingSpec())
 
 
 def bone_trace(cycles: int = 3, units: int = 1, oc: int = 3, ob: int = 1,
@@ -24,15 +33,17 @@ class TestSpec:
     def test_defaults_are_consistent(self):
         spec = CouplingSpec()
         assert spec.cargo_symbols == ("_cl", "_cb", "_cn", "_cr")
-        assert spec.phase_symbols[0] == "p0" and spec.phase_symbols[13] == "p13"
+        rules = {r.id: r for r in generate_carrier_protocol(spec, BONE_MICRO)}
+        assert rules["V_depart"].consumed["p0"] == 1 and rules["V_restart"].consumed["p13"] == 1
 
     def test_reserved_prefix_collision(self):
         with pytest.raises(ValueError):
             CouplingSpec(payload_symbol="_c")
 
     def test_generated_name_collision(self):
-        with pytest.raises(ValueError):
-            CouplingSpec(payload_symbol="p3")
+        for name in ("p3", "p14", "p20"):
+            with pytest.raises(ValueError):
+                CouplingSpec(payload_symbol=name)
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
@@ -42,7 +53,7 @@ class TestSpec:
 class TestProtocol:
     def test_emits_nineteen_rules_over_the_four_labels(self):
         spec = CouplingSpec()
-        rules = generate_carrier_protocol(spec)
+        rules = generate_carrier_protocol(spec, BONE_MICRO)
         assert len(rules) == 19
         labels = {r.subject for r in rules} | {r.host for r in rules if r.host}
         assert labels == {"T", "BMU", "CU", "V"}
@@ -50,15 +61,15 @@ class TestProtocol:
 
     def test_every_produced_symbol_is_generated_or_payload(self):
         spec = CouplingSpec()
-        allowed = set(spec.phase_symbols) | set(spec.cargo_symbols) | {
+        allowed = {f"p{i}" for i in range(14)} | set(spec.cargo_symbols) | {
             spec.payload_symbol, spec.cycle_symbol}
-        for rule in generate_carrier_protocol(spec):
+        for rule in generate_carrier_protocol(spec, BONE_MICRO):
             assert set(rule.consumed) <= allowed
             assert set(rule.produced) <= allowed
 
     def test_departure_and_restart_each_pay_one_cycle_token(self):
         spec = CouplingSpec()
-        rules = {r.id: r for r in generate_carrier_protocol(spec)}
+        rules = {r.id: r for r in generate_carrier_protocol(spec, BONE_MICRO)}
         assert rules["V_depart"].consumed["cyc"] == 1
         assert rules["V_restart"].consumed["cyc"] == 1
         others = [r for r in rules.values() if r.id not in ("V_depart", "V_restart")]
@@ -75,7 +86,7 @@ class TestTiming:
         drains = drain_steps(bone_trace(cycles=4))
         assert len(drains) == 4
         gaps = {b - a for a, b in zip(drains, drains[1:])}
-        assert gaps == {carrier_cycle_length()}
+        assert gaps == {carrier_cycle_length(BONE_MICRO)}
 
     def test_first_cycle_lead_in(self):
         drains = drain_steps(bone_trace(cycles=2))
@@ -88,7 +99,7 @@ class TestTiming:
         trace = bone_trace(cycles=cycles)
         assert trace.halted
         # the last deposit step, then the recorded halting step
-        assert len(trace.steps) == cycle_end_step(cycles) + 2
+        assert len(trace.steps) == cycle_end_step(cycles, BONE_MICRO) + 2
 
     @pytest.mark.parametrize("units", [1, 2, 3])
     @pytest.mark.parametrize("oc,ob", [(0, 0), (3, 1), (1, 5)])
@@ -96,7 +107,7 @@ class TestTiming:
     def test_cli_step_bound_reaches_halt(self, density, oc, ob, units):
         for cycles in range(4):
             params = BoneParams(density=density, oc=oc, ob=ob, cycles=cycles, units=units)
-            bound = cycle_end_step(cycles) + 2  # the step count ``mmsim bone`` runs
+            bound = cycle_end_step(cycles, BONE_MICRO) + 2  # the step count ``mmsim bone`` runs
             for seed in range(5):
                 trace = run(build_bone_model(params), EngineOptions(seed=seed),
                             max_steps=bound)
@@ -110,10 +121,10 @@ class TestTiming:
         # The schedule the density sampler reads, checked against the rules
         # that fire: deposit and restart fire only in the steps
         # cycle_end_step(k), and the carrier holds the last phase before each.
-        last_phase = CouplingSpec().phase_symbols[-1]
+        last_phase = "p13"
         for cycles in range(5):
             params = BoneParams(density=density, oc=oc, ob=ob, cycles=cycles, units=units)
-            ends = {cycle_end_step(k) for k in range(1, cycles + 1)}
+            ends = {cycle_end_step(k, BONE_MICRO) for k in range(1, cycles + 1)}
             for seed in range(5):
                 trace = run(build_bone_model(params), EngineOptions(seed=seed), max_steps=2000)
                 for unit in range(1, units + 1):
@@ -122,7 +133,7 @@ class TestTiming:
                              if any(a.rule in landing for a in s.applied)}
                     assert fired <= ends, (cycles, seed, unit)
                     # every round trip but the last restarts
-                    assert {cycle_end_step(k) for k in range(1, cycles)} <= fired
+                    assert {cycle_end_step(k, BONE_MICRO) for k in range(1, cycles)} <= fired
                     for end in ends:
                         assert trace.steps[end - 1].state[f"V{unit}"].get(last_phase) == 1
 
@@ -156,3 +167,97 @@ class TestComposition:
         trace = bone_trace(cycles=1, oc=0, ob=0)
         assert trace.halted
         assert trace.steps[-1].state["V1"] == {"p13": 1}
+
+
+def unit_model(spec: CouplingSpec, micro, tissue: dict, stock: dict, cycles: int) -> Model:
+    """One carrier unit, composed by hand around the micro rules *micro*."""
+    carrier = (spec.carrier_label, {"p0": 1, spec.cycle_symbol: cycles}, ())
+    config = build_configuration(("skin", None, [
+        (spec.macro_label, tissue, ()),
+        (spec.coupling_label, None, ((spec.micro_label, stock, ()), carrier)),
+    ]))
+    return Model(config, generate_carrier_protocol(spec, micro) + tuple(micro))
+
+
+def two_stage_formation(spec: CouplingSpec) -> tuple:
+    """The bone's micro rules with formation split into two stages: three
+    micro levels."""
+    bmu = spec.micro_label
+    return (
+        rewrite(f"{bmu}_resorb", bmu, {"_oc": 1, "_cb": 1}, {"_f": 1}),
+        rewrite(f"{bmu}_form", bmu, {"_ob": 1, "_f": 1}, {"_g": 1}),
+        rewrite(f"{bmu}_grow", bmu, {"_g": 1}, {"_cn": 1}),
+    )
+
+
+class TestMicroLevels:
+    def test_one_wait_per_level_named_after_its_first_rule(self):
+        spec = unit_spec(1)
+        waits = [r.id for r in generate_carrier_protocol(spec, two_stage_formation(spec))
+                 if "_wait_" in r.id]
+        assert waits == ["V1_wait_resorb", "V1_wait_form", "V1_wait_grow"]
+        assert [r.id for r in generate_carrier_protocol(spec, micro_rules(spec))
+                if "_wait_" in r.id] == ["V1_wait_resorb", "V1_wait_form"]
+
+    def test_schedule_follows_the_levels(self):
+        spec = CouplingSpec()
+        assert carrier_cycle_length() == 10 and cycle_end_step(1) == 11
+        assert carrier_cycle_length(BONE_MICRO) == 12 and cycle_end_step(1, BONE_MICRO) == 13
+        micro = two_stage_formation(spec)
+        assert carrier_cycle_length(micro) == 13 and cycle_end_step(1, micro) == 14
+        assert len(generate_carrier_protocol(spec, micro)) == 20
+        assert len(generate_carrier_protocol(spec, ())) == 17
+
+    def test_two_stage_formation_comes_back_whole(self):
+        spec = unit_spec(1)
+        micro = two_stage_formation(spec)
+        model = unit_model(spec, micro, {"c": 10}, {"_oc": 3, "_ob": 3}, cycles=1)
+        trace = run(model, EngineOptions(seed=0), max_steps=100)
+        assert trace.halted and len(trace.steps) == cycle_end_step(1, micro) + 2 == 16
+        final = trace.steps[-1].state
+        assert final["T1"] == {"c": 10}  # density 0.5 at capacity 20
+        assert final.get("BMU1", {}) == {}
+
+    @pytest.mark.parametrize("loop", [
+        rewrite("BMU_back", "BMU", {"_cn": 1}, {"_g": 1}),
+        rewrite("BMU_x", "BMU", {"_x": 1}, {"_x": 1}),
+        rewrite("BMU_y", "BMU", {"_oc": 1}, {"_y": 1}, promoter={"_y": 1}),
+    ])
+    def test_cyclic_micro_rules_rejected(self, loop):
+        spec = CouplingSpec()
+        micro = two_stage_formation(spec) + (loop,)
+        with pytest.raises(ValueError, match="fed by a cycle.*BMU_"):
+            generate_carrier_protocol(spec, micro)
+        with pytest.raises(ValueError, match="cycle"):
+            carrier_cycle_length(micro)
+
+    @pytest.mark.parametrize("stray", [
+        send_out("BMU_leak", "BMU", {"_cb": 1}, {"_cb": 1}),
+        rewrite("T_decay", "T", {"c": 1}, {}),
+    ])
+    def test_micro_rules_must_be_micro_rewrites(self, stray):
+        spec = CouplingSpec()
+        with pytest.raises(ValueError, match="is not an 'in BMU' rewrite"):
+            generate_carrier_protocol(spec, micro_rules(spec) + (stray,))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_micro_membrane_quiescent_at_pickup(self, seed):
+        # Against the oracle: in the step that picks up, no instance of a
+        # micro rule is applicable any more.
+        spec = CouplingSpec()
+        micro, levels = random_micro_rules(seed, spec.micro_label, spec.cargo_delivered,
+                                           spec.cargo_remodelled)
+        assert carrier_cycle_length(micro) == 10 + levels
+        rng = SplitMix64(seed)
+        stock = {sym: 1 + rng.below(3) for sym in MICRO_STOCK}
+        model = unit_model(spec, micro, {"c": 1 + rng.below(4)}, stock, cycles=2)
+        config, pickups = model.config, 0
+        for _ in range(100):
+            result = step(config, model.rules, rng)
+            if result.halted:
+                break
+            if any(instance.rule.id == "V_pickup_done" for instance, _ in result.applied):
+                pickups += 1
+                assert oracle_successors(config, micro) == {canonical_form(config)}
+            config = result.config
+        assert result.halted and pickups == 2
