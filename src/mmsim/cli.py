@@ -2,15 +2,17 @@
 
 Exit codes are uniform across subcommands: 0 success, 1 domain or model
 error (syntax, lint findings, bad parameters, engine failures), 2 I/O
-error, including a stdout whose reader has gone.  Traces go to files as
-JSON Lines, written step by step while the run goes on, so a failed run
-leaves the lines of the steps before the failure; the ``bone`` subcommand
-prints a density-per-cycle CSV on stdout.
+error, including any failed write to stdout (a reader that has gone or a
+full device).  Traces go to files as JSON Lines, written step by step
+while the run goes on, so a failed run leaves the lines of the steps
+before the failure; the ``bone`` subcommand prints a density-per-cycle
+CSV on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -24,7 +26,7 @@ from .parser import Model, ParseError, lint, parse_model, serialize_model
 from .rng import RNG_ALGORITHM
 from .tracefile import model_hash, trace_lines
 
-__all__ = ["cmd_validate", "cmd_run", "cmd_bone", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_MODEL = 1
@@ -40,43 +42,35 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_MODEL)
 
     # ``--help`` output is written before argparse exits; flush it here so
-    # that a closed stdout is met inside ``main``'s ``try``.
+    # that a failed write to stdout is met inside ``main``'s ``try``.
     def exit(self, status: int = 0, message: str | None = None):
         sys.stdout.flush()
         super().exit(status, message)
 
 
-def _load(path: str) -> tuple[Model | None, int]:
-    """Read and parse a model file: the model and ``EXIT_OK``, or ``None``
-    and the exit status after printing the one error line."""
+@contextlib.contextmanager
+def _naming(path: str) -> Iterator[None]:
+    """Put *path* on an ``OSError`` raised inside that names no file, as a
+    failed read or write does."""
     try:
-        with open(path, "rb") as fp:
-            data = fp.read()
+        yield
     except OSError as exc:
-        print(f"{path}: error: {exc.strerror or exc}", file=sys.stderr)
-        return None, EXIT_IO
-    try:
-        return parse_model(data), EXIT_OK
-    except ParseError as exc:
-        print(f"{path}:{exc.line}:{exc.column}: error: {exc.message}", file=sys.stderr)
-        return None, EXIT_MODEL
+        if exc.filename is None:
+            exc.filename = path
+        raise
 
 
-def cmd_validate(path: str) -> int:
-    """Parse and lint a model file; silent and 0 when clean."""
-    model, status = _load(path)
-    if model is None:
-        return status
-    warnings = lint(model)
+def _load(path: str) -> Model:
+    with _naming(path), open(path, "rb") as fp:
+        return parse_model(fp.read())
+
+
+def _validate(path: str) -> list[str]:
+    """Parse and lint a model file; print and return the findings."""
+    warnings = lint(_load(path))
     for warning in warnings:
         print(f"{path}: warning: {warning}", file=sys.stderr)
-    return EXIT_MODEL if warnings else EXIT_OK
-
-
-def _engine_error(exc: EngineError) -> int:
-    where = "" if exc.step is None else f"step {exc.step}: "
-    print(f"error: {where}{exc}", file=sys.stderr)
-    return EXIT_MODEL
+    return warnings
 
 
 def _observed(steps: Iterator[TraceStep],
@@ -88,85 +82,59 @@ def _observed(steps: Iterator[TraceStep],
 
 def _drive(model: Model, options: EngineOptions, steps: Iterator[TraceStep],
            observe: Callable[[TraceStep], None], trace_path: str | None,
-           snapshot_every: int) -> int:
+           snapshot_every: int) -> None:
     """Hand every step of the run to *observe* as it is made and, given a
-    trace path, write its line; returns the exit status.  The file is
-    opened before the first step, so a bad path costs no engine work, and
-    a failed run leaves the lines of the steps before the failure."""
-    try:
-        if trace_path is None:
-            for step in steps:
-                observe(step)
-        else:
-            with open(trace_path, "w", encoding="utf-8", newline="\n") as fp:
-                for line in trace_lines(options.seed, RNG_ALGORITHM, model_hash(model),
-                                        _observed(steps, observe), snapshot_every):
-                    fp.write(line + "\n")
-    except OSError as exc:
-        print(f"{trace_path}: error: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_IO
-    except EngineError as exc:
-        return _engine_error(exc)
-    return EXIT_OK
+    trace path, write its line.  The file is opened before the first step,
+    so a bad path costs no engine work, and a failed run leaves the lines
+    of the steps before the failure."""
+    if trace_path is None:
+        for step in steps:
+            observe(step)
+        return
+    with _naming(trace_path), open(trace_path, "w", encoding="utf-8", newline="\n") as fp:
+        for line in trace_lines(options.seed, RNG_ALGORITHM, model_hash(model),
+                                _observed(steps, observe), snapshot_every):
+            fp.write(line + "\n")
 
 
-def _state_summary(state: dict[str, dict[str, int]]) -> str:
-    return json.dumps(state, sort_keys=True, separators=(",", ":"))
-
-
-def cmd_run(path: str, seed: int, max_steps: int, trace_path: str | None,
-            snapshot_every: int) -> int:
+def _run(path: str, seed: int, max_steps: int, trace_path: str | None,
+         snapshot_every: int) -> None:
     """Run a model file and print a one-line summary."""
     if max_steps < 0:
         raise ValueError("max-steps must be >= 0")
     if snapshot_every < 1:
         raise ValueError("snapshot-every must be >= 1")
     options = EngineOptions(seed=seed)
-    model, status = _load(path)
-    if model is None:
-        return status
-    try:
-        steps = iter_steps(model, options, max_steps)
-    except EngineError as exc:
-        return _engine_error(exc)
+    model = _load(path)
+    steps = iter_steps(model, options, max_steps)
     last: deque[TraceStep] = deque(maxlen=1)
-    status = _drive(model, options, steps, last.append, trace_path, snapshot_every)
-    if status != EXIT_OK:
-        return status
+    _drive(model, options, steps, last.append, trace_path, snapshot_every)
     if last:
         final = last[0]
         count, halted, state = final.index + 1, final.halted, final.state
     else:
         count, halted, state = 0, False, label_totals(model.config)
     print(f"steps={count} halted={'true' if halted else 'false'} "
-          f"state={_state_summary(state)}")
-    return EXIT_OK
+          f"state={json.dumps(state, sort_keys=True, separators=(',', ':'))}")
 
 
-def cmd_bone(params: BoneParams, seed: int = 0, emit_model: str | None = None,
-             trace_path: str | None = None) -> int:
+def _bone(params: BoneParams, seed: int, emit_model: str | None,
+          trace_path: str | None) -> None:
     """Build the bone model, run it to halt, print the density CSV."""
     options = EngineOptions(seed=seed)
     model = build_bone_model(params)
     if emit_model is not None:
-        try:
-            with open(emit_model, "w", encoding="utf-8", newline="\n") as fp:
-                fp.write(serialize_model(model))
-        except OSError as exc:
-            print(f"{emit_model}: error: {exc.strerror or exc}", file=sys.stderr)
-            return EXIT_IO
+        with _naming(emit_model), open(emit_model, "w", encoding="utf-8", newline="\n") as fp:
+            fp.write(serialize_model(model))
     # The last round trip's deposit step, then the halting step.
     last_end = cycle_end_step(params.cycles, micro_rules(CouplingSpec()))
     steps = iter_steps(model, options, max_steps=last_end + 2)
     sampler = DensitySampler(range(1, params.units + 1), params.capacity)
-    status = _drive(model, options, steps, sampler.add, trace_path, 1)
-    if status != EXIT_OK:
-        return status
+    _drive(model, options, steps, sampler.add, trace_path, 1)
     print("unit,cycle,density")
     for unit, series in sampler.series.items():
         for cycle, density in series:
             print(f"{unit},{cycle},{density}")
-    return EXIT_OK
 
 
 def _build_argparser() -> _Parser:
@@ -197,31 +165,42 @@ def _build_argparser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; the only place where a failure becomes its
+    error line and exit status."""
     try:
         args = _build_argparser().parse_args(argv)
+        status = EXIT_OK
         if args.command == "validate":
-            status = cmd_validate(args.file)
+            if _validate(args.file):
+                status = EXIT_MODEL
         elif args.command == "run":
-            status = cmd_run(args.file, args.seed, args.max_steps, args.trace,
-                             args.snapshot_every)
+            _run(args.file, args.seed, args.max_steps, args.trace, args.snapshot_every)
         else:
             params = BoneParams(capacity=args.capacity, density=args.density, oc=args.oc,
                                 ob=args.ob, cycles=args.cycles, units=args.units)
-            status = cmd_bone(params, seed=args.seed, emit_model=args.emit_model,
-                              trace_path=args.trace)
+            _bone(params, args.seed, args.emit_model, args.trace)
         sys.stdout.flush()
         return status
-    except BrokenPipeError as exc:
-        # The reader of stdout is gone.  Point fd 1 at the null device so
-        # that the flush at interpreter exit drops the unwritten rest.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print(f"<stdout>: error: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_IO
+    except ParseError as exc:
+        print(f"{args.file}:{exc.line}:{exc.column}: error: {exc.message}", file=sys.stderr)
+        return EXIT_MODEL
+    except EngineError as exc:
+        where = "" if exc.step is None else f"step {exc.step}: "
+        print(f"error: {where}{exc}", file=sys.stderr)
+        return EXIT_MODEL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
+    except OSError as exc:
+        if exc.filename is None:
+            # Only stdout is written without a name: its reader is gone or
+            # its device is full.  Point fd 1 at the null device so that the
+            # flush at interpreter exit drops the unwritten rest.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"{exc.filename or '<stdout>'}: error: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

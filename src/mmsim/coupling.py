@@ -126,8 +126,9 @@ class CouplingSpec(_Record):
 
 def _wait_names(micro: Iterable[Rule], label: str | None = None) -> list[str]:
     """Wait rule names for *micro*, ``in`` rewrites of *label* (by default the
-    first rule's): per level, ``wait_`` and its first rule id without the
-    ``<label>_`` prefix.  A level holds the rules fed only by earlier ones."""
+    first rule's): per level, ``wait_`` and its first rule id, without the
+    ``<label>_`` prefix unless that leaves another micro rule's id.  A level
+    holds the rules fed only by earlier ones."""
     rules = list(micro)
     label = label or (rules[0].subject if rules else None)
     for rule in rules:
@@ -135,12 +136,14 @@ def _wait_names(micro: Iterable[Rule], label: str | None = None) -> list[str]:
             raise ValueError(f"micro rule {rule.id!r} is not an 'in {label}' rewrite")
     needs = [{*rule.consumed, *(rule.promoter or ())} for rule in rules]
     producers = [{i for i, q in enumerate(rules) if s.intersection(q.produced)} for s in needs]
-    left, names = range(len(rules)), []
+    ids, left, names = {rule.id for rule in rules}, range(len(rules)), []
     while left:
         level = [i for i in left if producers[i].isdisjoint(left)]
         if not level:
             raise ValueError(f"micro rules fed by a cycle: {[rules[i].id for i in left]}")
-        names.append("wait_" + rules[level[0]].id.removeprefix(f"{label}_"))
+        first = rules[level[0]].id
+        short = first.removeprefix(f"{label}_")
+        names.append("wait_" + (first if short in ids else short))
         left = [i for i in left if i not in level]
     return names
 

@@ -12,6 +12,8 @@ a generator mismatch instead of silently diverging.
 
 from __future__ import annotations
 
+from .core import _require_int
+
 __all__ = ["RNG_ALGORITHM", "MASK64", "SplitMix64"]
 
 RNG_ALGORITHM = "splitmix64/fisher-yates"
@@ -30,8 +32,7 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ValueError(f"seed must be an int, got {seed!r}")
+        _require_int("seed", seed)
         self._state = seed & MASK64
 
     def next_u64(self) -> int:

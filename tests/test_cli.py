@@ -458,3 +458,26 @@ def test_closed_stdout_is_one_io_error_line(argv):
     assert out.returncode == 2
     assert "Traceback" not in out.stderr and "Exception ignored" not in out.stderr
     assert sum("error:" in line for line in out.stderr.splitlines()) == 1
+
+
+MINIMAL = str(CORPUS / "valid" / "minimal.mm")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv,name", [
+    (["bone"], "<stdout>"),
+    (["run", MINIMAL], "<stdout>"),
+    (["run", MINIMAL, "--trace", "/dev/full"], "/dev/full"),
+    (["bone", "--trace", "/dev/full"], "/dev/full"),
+    (["bone", "--emit-model", "/dev/full"], "/dev/full"),
+])
+def test_failed_write_is_one_io_error_line(argv, name):
+    # A full device fails the write itself, which names no file.  An empty
+    # PYTHONUNBUFFERED keeps stdout block-buffered, the default.
+    with open("/dev/full", "w") as full:
+        out = _python("-m", "mmsim.cli", *argv, env={"PYTHONUNBUFFERED": ""},
+                      stdout=full if name == "<stdout>" else subprocess.DEVNULL,
+                      stderr=subprocess.PIPE)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr and "Exception ignored" not in out.stderr
+    assert out.stderr == f"{name}: error: No space left on device\n"

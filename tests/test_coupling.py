@@ -199,6 +199,15 @@ class TestMicroLevels:
         assert [r.id for r in generate_carrier_protocol(spec, micro_rules(spec))
                 if "_wait_" in r.id] == ["V1_wait_resorb", "V1_wait_form"]
 
+    def test_wait_ids_stay_distinct_when_a_prefix_is_dropped(self):
+        # Without its prefix, level 1's BMU_x would name level 2's x.
+        spec = CouplingSpec()
+        micro = (rewrite("BMU_x", "BMU", {"_oc": 1, "_cb": 1}, {"_f": 1}),
+                 rewrite("x", "BMU", {"_ob": 1, "_f": 1}, {"_cn": 1}))
+        model = unit_model(spec, micro, {"c": 2}, {"_oc": 1, "_ob": 1}, cycles=1)
+        waits = [r.id for r in model.rules if "_wait_" in r.id]
+        assert waits == ["V_wait_BMU_x", "V_wait_x"]
+
     def test_schedule_follows_the_levels(self):
         spec = CouplingSpec()
         assert carrier_cycle_length() == 10 and cycle_end_step(1) == 11
