@@ -4,23 +4,20 @@ Run with:  python3 demos/01_membranes_and_rules.py
 """
 
 from mmsim import (
+    Configuration,
+    InvalidConfigurationError,
+    Membrane,
     Multiset,
     build_configuration,
-    find_membranes,
     parse_model,
     render_tree,
     rule_text,
     serialize_model,
-    validate,
 )
 
-# Multisets are immutable counted bags of symbols; arithmetic never
-# mutates, and removal past zero is an error rather than a clamp.
-stock = Multiset({"c": 10, "m": 2})
-print("stock:         ", stock)
-print("after -3 c:    ", stock - Multiset({"c": 3}))
-print("still intact:  ", stock)
-print("contains c*3?  ", stock.contains(Multiset({"c": 3})))
+# Multisets are immutable counted mappings of symbols; split entries add up.
+stock = Multiset([("c", 4), ("m", 2), ("c", 6)])
+print("stock:", stock)
 print()
 
 # A configuration is a labelled tree; ids are assigned in pre-order.
@@ -31,8 +28,14 @@ config = build_configuration(
         ("CU", {}, [("V", {"p0": 1}, [])]),
     ]))
 print(render_tree(config.skin))
-print("membranes labelled T:", find_membranes(config, "T"))
-print("violations:", validate(config) or "none")
+
+# Every Configuration is a valid tree: one membrane object in two places
+# is refused when the configuration is built.
+patch = Membrane(1, "T", stock)
+try:
+    Configuration(Membrane(0, "skin", children=(patch, patch)))
+except InvalidConfigurationError as exc:
+    print("refused:", exc)
 print()
 
 # The same structures parse from text; serialization is canonical, so

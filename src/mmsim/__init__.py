@@ -13,14 +13,12 @@ from .core import (
     InvalidConfigurationError,
     Membrane,
     Multiset,
-    MultisetUnderflow,
     Rule,
     RuleForm,
     RuleInstance,
     build_configuration,
     endo,
     exo,
-    find_membranes,
     iter_membranes,
     render_tree,
     rewrite,

@@ -41,6 +41,13 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_MODEL)
 
+    # argparse drops an ``OSError`` of its own writes, so an unbuffered
+    # ``--help`` to a full device would be lost without a word; let it
+    # reach ``main``'s handler instead.
+    def _print_message(self, message: str, file=None) -> None:
+        if message:
+            (file or sys.stderr).write(message)
+
     # ``--help`` output is written before argparse exits; flush it here so
     # that a failed write to stdout is met inside ``main``'s ``try``.
     def exit(self, status: int = 0, message: str | None = None):

@@ -16,8 +16,8 @@ A rule may carry a promoter multiset: the rule applies only where the
 promoter is present in the subject membrane, but the promoter is never
 consumed.
 
-All types here are immutable values; operations return new values, so
-configurations and rules can be shared freely between threads.
+All types here are immutable values, so configurations and rules can be
+shared freely between threads.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ __all__ = [
     "KEYWORDS",
     "is_symbol",
     "check_symbol",
-    "is_reserved_symbol",
-    "MultisetUnderflow",
     "Multiset",
     "EMPTY",
     "as_multiset",
@@ -50,7 +48,6 @@ __all__ = [
     "InvalidConfigurationError",
     "Configuration",
     "iter_membranes",
-    "find_membranes",
     "validate",
     "structural_violations",
     "build_configuration",
@@ -88,19 +85,6 @@ def check_symbol(name: object) -> str:
     if not is_symbol(name):
         raise ValueError(f"invalid symbol {name!r}")
     return name  # type: ignore[return-value]
-
-
-def is_reserved_symbol(name: str) -> bool:
-    """Symbols starting with an underscore belong to generated rule sets."""
-    return name.startswith("_")
-
-
-class MultisetUnderflow(ArithmeticError):
-    """Subtraction of a multiset that is not contained in the minuend.
-
-    Raised by ``Multiset.__sub__``; the engine keeps its own counts and
-    does no ``Multiset`` arithmetic.
-    """
 
 
 class Multiset(Mapping):
@@ -144,36 +128,6 @@ class Multiset(Mapping):
 
     def __bool__(self) -> bool:
         return bool(self._counts)
-
-    def contains(self, other: "Multiset") -> bool:
-        """Multiset containment: every count in *other* fits inside self."""
-        counts = self._counts
-        return all(counts.get(s, 0) >= n for s, n in other._counts.items())
-
-    def __add__(self, other: "Multiset") -> "Multiset":
-        if not isinstance(other, Multiset):
-            return NotImplemented
-        out = dict(self._counts)
-        for s, n in other._counts.items():
-            total = out.get(s, 0) + n
-            if total > MAX_COUNT:
-                raise OverflowError(f"count for {s!r} exceeds {MAX_COUNT}")
-            out[s] = total
-        return _wrap(out)
-
-    def __sub__(self, other: "Multiset") -> "Multiset":
-        if not isinstance(other, Multiset):
-            return NotImplemented
-        out = dict(self._counts)
-        for s, n in other._counts.items():
-            left = out.get(s, 0) - n
-            if left < 0:
-                raise MultisetUnderflow(f"cannot remove {s}*{n}: only {out.get(s, 0)} present")
-            if left == 0:
-                out.pop(s, None)
-            else:
-                out[s] = left
-        return _wrap(out)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Multiset):
@@ -397,11 +351,6 @@ def iter_membranes(root: Membrane) -> Iterator[Membrane]:
         stack.extend(reversed(m.children))
 
 
-def find_membranes(config: Configuration, label: str) -> tuple[int, ...]:
-    """Ids of all membranes with the given label, in pre-order."""
-    return tuple(m.id for m in iter_membranes(config.skin) if m.label == label)
-
-
 def structural_violations(root: Membrane) -> list[str]:
     """All faults that only a whole membrane tree can have: duplicate ids,
     a membrane object reachable twice, and nesting deeper than
@@ -430,7 +379,9 @@ def structural_violations(root: Membrane) -> list[str]:
 
 
 def validate(config: Configuration) -> list[str]:
-    """Structural violations of a configuration; empty list means ok."""
+    """Structural violations of a configuration.  The ``Configuration``
+    constructor has already rejected any violation, so for every existing
+    configuration this returns ``[]``."""
     return structural_violations(config.skin)
 
 

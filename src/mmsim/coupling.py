@@ -49,8 +49,8 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterable
 
-from .core import (Multiset, Rule, RuleForm, _Record, _set, endo, exo, is_reserved_symbol,
-                   is_symbol, rewrite, send_in, send_out)
+from .core import (Multiset, Rule, RuleForm, _Record, _set, endo, exo, is_symbol, rewrite,
+                   send_in, send_out)
 
 __all__ = ["CouplingSpec", "generate_carrier_protocol", "carrier_cycle_length", "cycle_end_step"]
 
@@ -86,7 +86,7 @@ class CouplingSpec(_Record):
         for name in user_symbols:
             if not is_symbol(name):
                 raise ValueError(f"invalid name {name!r}")
-            if is_reserved_symbol(name):
+            if name.startswith("_"):
                 raise ValueError(
                     f"{name!r} collides with the reserved '_' prefix for generated symbols")
         if len(set(labels)) != len(labels):
@@ -178,14 +178,14 @@ def generate_carrier_protocol(spec: CouplingSpec, micro: Iterable[Rule]) -> tupl
     four labels.  Micro rules that are not ``in`` rewrites of the micro
     label, or that feed each other in a cycle, raise ``ValueError``."""
     table, drain = _phase_table(spec, _wait_names(micro, spec.micro_label))
-    V, cyc, last = spec.carrier_label, Multiset({spec.cycle_symbol: 1}), len(table) - 1
+    V, last = spec.carrier_label, len(table) - 1
     rules: list[Rule] = []
     for index, (*transfers, (name, make, *host)) in enumerate(table):
         phase = _phase(index)
         rules += (send(spec.rule_id(transfer), V, consumed, produced, promoter=phase)
                   for transfer, send, consumed, produced in transfers)
         # Departure (out of the first phase) and restart (out of the last) pay a cycle token.
-        paid = phase + cyc if index in (0, last) else phase
+        paid = Multiset({**phase, spec.cycle_symbol: 1}) if index in (0, last) else phase
         following = _phase(index + 1 if index < last else drain)
         rules.append(make(spec.rule_id(name), V, *host, paid, following))
     return tuple(rules)

@@ -392,13 +392,14 @@ def test_nesting_at_max_depth_runs(command, tmp_path, capsys):
         assert len(trace.read_text().splitlines()) == 2
 
 
-def _python(*args: str, env: dict[str, str] | None = None,
+def _python(*args: str, env: dict[str, str | None] | None = None,
             **kwargs) -> subprocess.CompletedProcess:
     """Run this interpreter on *args* with the package's sources importable
-    and the variables in *env* set."""
+    and the variables in *env* set, or removed where the value is None."""
     src = str(Path(mmsim.__file__).resolve().parent.parent)
-    env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    env = {name: value for name, value in {**os.environ, **(env or {})}.items()
+           if value is not None}
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
     return subprocess.run([sys.executable, *args], env=env, text=True, timeout=120, **kwargs)
 
 
@@ -481,3 +482,16 @@ def test_failed_write_is_one_io_error_line(argv, name):
     assert out.returncode == 2
     assert "Traceback" not in out.stderr and "Exception ignored" not in out.stderr
     assert out.stderr == f"{name}: error: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["1", None])
+def test_help_to_full_device_is_one_io_error_line(unbuffered):
+    # Unbuffered, the help text fails in argparse's own write, which
+    # argparse would drop; block-buffered, it fails at the flush before exit.
+    with open("/dev/full", "w") as full:
+        out = _python("-m", "mmsim.cli", "bone", "--help",
+                      env={"PYTHONUNBUFFERED": unbuffered}, stdout=full, stderr=subprocess.PIPE)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert out.stderr == "<stdout>: error: No space left on device\n"
