@@ -30,6 +30,7 @@ from operator import attrgetter
 __all__ = [
     "MAX_COUNT",
     "MAX_DEPTH",
+    "MAX_INSTANCES",
     "KEYWORDS",
     "is_symbol",
     "check_symbol",
@@ -62,6 +63,9 @@ MAX_COUNT = (1 << 63) - 1
 # text, Configuration and the engine's moves keep to it, so the recursive
 # tree code (record equality, hash and repr among it) fits Python's stack.
 MAX_DEPTH = 128
+
+# A step may have at most this many applicable instances (distinct bindings).
+MAX_INSTANCES = 1_000_000
 
 # Symbols and membrane labels: optional leading underscores, then a letter,
 # then letters/digits/underscores.  A leading underscore marks the reserved
@@ -180,9 +184,11 @@ _MOVE_FORMS = (RuleForm.ENDO, RuleForm.EXO)
 _set = object.__setattr__
 
 
-def _require_int(name: str, value: object) -> None:
+def _require_int(name: str, value: object, least: int | None = None) -> None:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 class _Record:

@@ -49,8 +49,8 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterable
 
-from .core import (Multiset, Rule, RuleForm, _Record, _set, endo, exo, is_symbol, rewrite,
-                   send_in, send_out)
+from .core import (Multiset, Rule, RuleForm, _Record, _require_int, _set, endo, exo, is_symbol,
+                   rewrite, send_in, send_out)
 
 __all__ = ["CouplingSpec", "generate_carrier_protocol", "carrier_cycle_length", "cycle_end_step"]
 
@@ -202,5 +202,6 @@ def cycle_end_step(k: int, micro: Iterable[Rule] = ()) -> int:
     """The step in which round trip *k* (from 1) of a unit with micro rules
     *micro* deposits: the carrier leaves the first phase in step 0 and moves
     one phase per step.  The step after the last round trip halts."""
+    _require_int("k", k, 0)
     table, drain = _phase_table(CouplingSpec(), _wait_names(micro))
     return drain + k * (len(table) - drain) - 1

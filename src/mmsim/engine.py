@@ -47,7 +47,9 @@ call per candidate.  Selection copies a membrane's counts only when an
 instance first consumes from it.
 
 If no instance is applicable the step reports ``halted`` and leaves the
-state unchanged.
+state unchanged.  Otherwise it rescans its candidates for maximality; and as
+only the endo/exo moves change the tree, only a step that moved a membrane
+walks it (each membrane reached once from the skin, none past ``MAX_DEPTH``).
 
 A run is a stream: :func:`iter_steps` yields each :class:`TraceStep` as it
 is made, and :func:`run` collects the same stream into a :class:`Trace`.
@@ -63,6 +65,7 @@ from typing import Iterator, Sequence
 from .core import (
     MAX_COUNT,
     MAX_DEPTH,
+    MAX_INSTANCES,
     _require_int,
     _set,
     _Record,
@@ -104,7 +107,7 @@ class EngineError(RuntimeError):
 
 
 class InstanceBoundExceeded(EngineError):
-    """More applicable instances in one step than ``max_instances_per_step``."""
+    """More applicable instances in one step than ``MAX_INSTANCES``."""
 
 
 class CountOverflow(EngineError):
@@ -121,17 +124,13 @@ class SelfCheckViolation(EngineError):
 
 
 class EngineOptions(_Record):
-    __slots__ = ("seed", "max_instances_per_step")
+    __slots__ = ("seed",)
 
-    def __init__(self, seed: int = 0, max_instances_per_step: int = 1_000_000) -> None:
+    def __init__(self, seed: int = 0) -> None:
         _require_int("seed", seed)
-        _require_int("max_instances_per_step", max_instances_per_step)
         if not 0 <= seed < (1 << 64):
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if max_instances_per_step < 1:
-            raise ValueError("max_instances_per_step must be >= 1")
         _set(self, "seed", seed)
-        _set(self, "max_instances_per_step", max_instances_per_step)
 
 
 class StepResult(_Record):
@@ -432,7 +431,8 @@ def _select_maximal(state: _State, candidates: list[tuple], rng: SplitMix64
 # ---------------------------------------------------------------------------
 # Effect application and the step's checks
 
-def _apply(state: _State, applied: Sequence[tuple[tuple, int]]) -> None:
+def _apply(state: _State, applied: Sequence[tuple[tuple, int]]) -> bool:
+    """Apply *applied* in place; returns whether a membrane moved."""
     contents, parent, children = state.contents, state.parent, state.children
     labels, totals = state.labels, state.totals
     # Every consumption is charged before any production, so totals only
@@ -483,13 +483,14 @@ def _apply(state: _State, applied: Sequence[tuple[tuple, int]]) -> None:
         children[parent[child]].remove(child)
         children[new_parent].append(child)
         parent[child] = new_parent
+    return bool(moves)
 
 
 def _structural_violations(state: _State) -> list[str]:
-    """Every membrane must be reachable from the skin exactly once, and no
-    stored count may be <= 0.  An empty list means the state is valid.  The
-    walk goes down level by level and raises :class:`DepthExceeded` on a
-    membrane deeper than ``MAX_DEPTH``, which only an endo move can nest."""
+    """Every membrane must be reachable from the skin exactly once.  An
+    empty list means the state is valid.  The walk goes down level by level
+    and raises :class:`DepthExceeded` on a membrane deeper than
+    ``MAX_DEPTH``, which only an endo move can nest."""
     violations: list[str] = []
     seen: set[int] = set()
     level = [state.skin]
@@ -504,10 +505,6 @@ def _structural_violations(state: _State) -> list[str]:
                 violations.append(f"shared-membrane: membrane id {mid} reachable twice")
                 continue
             seen.add(mid)
-            counts = state.contents[mid]
-            if counts and min(counts.values()) <= 0:
-                violations.extend(f"zero-count: membrane {mid} stores {sym}*{n}"
-                                  for sym, n in counts.items() if n <= 0)
             below.extend(state.children[mid])
         level = below
         depth += 1
@@ -540,33 +537,32 @@ def _check_maximal(candidates: list[tuple], contents: dict[int, dict[str, int]],
 # ---------------------------------------------------------------------------
 # The step relation and runs
 
-def _step(state: _State, table: _Table, rng: SplitMix64,
-          options: EngineOptions) -> list[tuple[tuple, int]]:
+def _step(state: _State, table: _Table, rng: SplitMix64) -> list[tuple[tuple, int]]:
     """Advance *state* by one step in place; returns the applied candidates
-    with their multiplicities, empty when the step halts.  A step that
-    applies anything always checks maximality and the post-step tree."""
+    with their multiplicities, empty when the step halts.  Maximality is
+    checked in every step that applies anything, the tree only after a move."""
     candidates = _enumerate(state, table)
-    if len(candidates) > options.max_instances_per_step:
+    if len(candidates) > MAX_INSTANCES:
         raise InstanceBoundExceeded(
-            f"{len(candidates)} candidate instances exceed the bound "
-            f"{options.max_instances_per_step}")
+            f"{len(candidates)} candidate instances exceed the bound {MAX_INSTANCES}")
     if not candidates:
         return []
     residual, locked, counts = _select_maximal(state, candidates, rng)
     _check_maximal(candidates, state.contents, residual, locked)
     applied = [(cand, k) for cand, k in zip(candidates, counts) if k]
-    _apply(state, applied)
-    violations = _structural_violations(state)
-    if violations:
-        raise SelfCheckViolation(f"post-step configuration invalid: {violations}")
+    if _apply(state, applied):
+        violations = _structural_violations(state)
+        if violations:
+            raise SelfCheckViolation(f"post-step configuration invalid: {violations}")
     return applied
 
 
 def step(config: Configuration, rules: Sequence[Rule], rng: SplitMix64,
          options: EngineOptions = EngineOptions()) -> StepResult:
-    """One maximally parallel step; halts when nothing is applicable."""
+    """One maximally parallel step; halts when nothing is applicable.
+    It draws from *rng* and reads nothing from *options*."""
     state = _State(config)
-    applied = _step(state, _compile(rules), rng, options)
+    applied = _step(state, _compile(rules), rng)
     if not applied:
         return StepResult(config, (), True)
     return StepResult(state.config(), tuple((_instance(c), k) for c, k in applied), False)
@@ -589,7 +585,7 @@ def _steps(state: _State, rules: tuple[Rule, ...], options: EngineOptions,
     rng = SplitMix64(options.seed)
     for index in range(max_steps):
         try:
-            applied = _step(state, table, rng, options)
+            applied = _step(state, table, rng)
         except EngineError as exc:
             exc.step = index
             raise
@@ -601,9 +597,7 @@ def _steps(state: _State, rules: tuple[Rule, ...], options: EngineOptions,
 
 
 def _start(model: Model, max_steps: int) -> _State:
-    _require_int("max_steps", max_steps)
-    if max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
+    _require_int("max_steps", max_steps, 0)
     return _State(model.config)
 
 

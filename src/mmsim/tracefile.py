@@ -90,9 +90,7 @@ def trace_lines(seed: int, rng: str, digest: str, steps: Iterable[TraceStep],
     is re-raised after the held-back step's line.  A bad *snapshot_every*
     raises here, before any line is pulled.
     """
-    _require_int("snapshot_every", snapshot_every)
-    if snapshot_every < 1:
-        raise ValueError("snapshot_every must be >= 1")
+    _require_int("snapshot_every", snapshot_every, 1)
     return _lines(_dump({"seed": seed, "rng": rng, "model_hash": digest}), steps, snapshot_every)
 
 

@@ -263,6 +263,15 @@ class TestBone:
         assert main(["validate", str(emitted)]) == 0
         assert emitted.read_text() == BONE.read_text()
 
+    @pytest.mark.parametrize("seed", ["0", "3"])
+    def test_emitted_model_replays_byte_for_byte(self, seed, tmp_path, capsys):
+        flags = ["--units", "3", "--cycles", "4", "--oc", "3", "--ob", "1", "--seed", seed]
+        emitted, bone_trace, run_trace = (tmp_path / n for n in ("bone.mm", "b.jsonl", "r.jsonl"))
+        assert main(["bone", *flags, "--emit-model", str(emitted), "--trace", str(bone_trace)]) == 0
+        assert main(["run", str(emitted), "--seed", seed, "--trace", str(run_trace)]) == 0
+        capsys.readouterr()
+        assert run_trace.read_bytes() == bone_trace.read_bytes()
+
     def test_trace_written(self, tmp_path, capsys):
         trace = tmp_path / "bone.jsonl"
         assert main(["bone", "--oc", "1", "--ob", "1", "--trace", str(trace)]) == 0

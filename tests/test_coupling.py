@@ -150,6 +150,11 @@ class TestTiming:
             carrier = step.state["V1"]
             assert sum(n for sym, n in carrier.items() if sym in phases) == 1
 
+    @pytest.mark.parametrize("k", [-1, True, 1.5, "1", None])
+    def test_cycle_end_step_rejects_a_bad_round_trip(self, k):
+        with pytest.raises(ValueError, match="k must be"):
+            cycle_end_step(k)
+
 
 class TestComposition:
     def test_two_units_embed_the_single_unit_trace(self):

@@ -189,11 +189,6 @@ class TestSelfCheck:
         violations = engine._structural_violations(state)
         assert violations == ["shared-membrane: membrane id 2 reachable twice"]
 
-    def test_non_positive_count_reported(self):
-        state = self.flat_state()
-        state.contents[0]["a"] = 0
-        assert engine._structural_violations(state) == ["zero-count: membrane 0 stores a*0"]
-
     @staticmethod
     def rescan(tree, rules, residual, locked):
         state = engine._State(build_configuration(tree))
@@ -223,7 +218,9 @@ class TestSelfCheck:
 
     def test_checks_run_once_per_step(self, monkeypatch):
         # One token n is spent per step: steps 0..4 apply, step 5 halts.
-        model = parse_model("[skin: t, n*5] rule r: in skin: t, n -> t")
+        # V enters CU in step 0 and leaves it in step 1; no later step moves.
+        model = parse_model("[skin: t, n*5 [V: p0] [CU: ]] rule r: in skin: t, n -> t "
+                            "rule e: endo V into CU: p0 -> p1 rule x: exo V from CU: p1 -> p2")
         expected = run(model, max_steps=10)
         calls = {"_check_maximal": 0, "_structural_violations": 0}
 
@@ -240,9 +237,26 @@ class TestSelfCheck:
             counting(name)
         trace = run(model, max_steps=10)
         assert trace == expected
-        moving = sum(not s.halted for s in trace.steps)
-        assert moving == 5 and trace.halted
-        assert calls == {"_check_maximal": moving, "_structural_violations": moving}
+        applying = sum(not s.halted for s in trace.steps)
+        moving = sum(any(a.rule in ("e", "x") for a in s.applied) for s in trace.steps)
+        assert (applying, moving) == (5, 2) and trace.halted
+        assert calls == {"_check_maximal": applying, "_structural_violations": moving}
+
+    def test_fault_made_by_a_move_ends_the_run(self, monkeypatch):
+        # A and B each move into the other; the mover-lock lets only one
+        # go, so forcing both cuts both off from the skin.
+        model = parse_model("[skin: [A: go] [B: go]] "
+                            "rule a: endo A into B: go -> go rule b: endo B into A: go -> go")
+        real = engine._select_maximal
+
+        def both(state, candidates, rng):
+            residual, locked, _ = real(state, candidates, rng)
+            return residual, locked, [1] * len(candidates)
+
+        monkeypatch.setattr(engine, "_select_maximal", both)
+        with pytest.raises(SelfCheckViolation, match="detached: membrane 1") as failure:
+            run(model, max_steps=10)
+        assert failure.value.step == 0
 
     @staticmethod
     def chain_state(depth: int):
@@ -316,13 +330,13 @@ class TestStep:
         assert {i.rule.id for i, _ in result.applied} == {"e", "w"}
         assert label_totals(result.config)["V"] == {"p1": 1, "y": 1}
 
-    def test_instance_bound_enforced(self):
+    def test_instance_bound_enforced(self, monkeypatch):
         # Six distinct instances, one per V; a multiplicity is not counted.
         model = parse_model("[skin: c*10 [V:] [V:] [V:] [V:] [V:] [V:]] "
                             "rule load: send-in V: c -> cl")
+        monkeypatch.setattr(engine, "MAX_INSTANCES", 5)
         with pytest.raises(InstanceBoundExceeded):
-            step(model.config, model.rules, SplitMix64(0),
-                 EngineOptions(max_instances_per_step=5))
+            step(model.config, model.rules, SplitMix64(0))
 
     def test_conservation_under_pure_transfer(self):
         model = parse_model(
@@ -418,16 +432,16 @@ class TestRun:
             for seed in (0, 3, 7):
                 self.assert_run_is_chained_steps(model, seed, 200)
 
-    def test_failure_carries_step_index(self):
+    def test_failure_carries_step_index(self, monkeypatch):
         # Step 1 binds h to each of the six V membranes.
         model = parse_model("[skin: a [V:] [V:] [V:] [V:] [V:] [V:]] "
                             "rule g: in skin: a -> b rule h: send-in V: b -> c")
-        options = EngineOptions(max_instances_per_step=5)
+        monkeypatch.setattr(engine, "MAX_INSTANCES", 5)
         with pytest.raises(InstanceBoundExceeded) as failure:
-            run(model, options)
+            run(model)
         assert failure.value.step == 1
         with pytest.raises(InstanceBoundExceeded) as failure:
-            step(run(model, max_steps=1).final, model.rules, SplitMix64(0), options)
+            step(run(model, max_steps=1).final, model.rules, SplitMix64(0))
         assert failure.value.step is None
 
     def test_iter_steps_checks_arguments_before_the_first_step(self):
@@ -486,7 +500,7 @@ class TestOptions:
             EngineOptions(seed=seed)
 
     @pytest.mark.parametrize("value", [1.5, True, False, "1", None])
-    @pytest.mark.parametrize("field", ["seed", "max_instances_per_step"])
+    @pytest.mark.parametrize("field", ["seed"])
     def test_fields_must_be_ints(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an int"):
             EngineOptions(**{field: value})

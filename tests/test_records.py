@@ -48,9 +48,7 @@ CASES = [
      1, dict(rules=()), True,
      f"Model(config=Configuration(skin={_MEMBRANE_REPR}), rules=({_RULE_REPR},))"),
     (EngineOptions,
-     dict(seed=7, max_instances_per_step=9),
-     0, dict(seed=0, max_instances_per_step=1_000_000), True,
-     "EngineOptions(seed=7, max_instances_per_step=9)"),
+     dict(seed=7), 0, dict(seed=0), True, "EngineOptions(seed=7)"),
     (StepResult,
      dict(config=_config, applied=((_instance, 2),), halted=False),
      3, {}, True,
