@@ -37,7 +37,7 @@ import math
 from typing import Iterable
 
 from .core import MAX_COUNT, Rule, _Record, _require_int, _set, build_configuration, rewrite
-from .coupling import (CouplingSpec, _phase, carrier_cycle_length, cycle_end_step,
+from .coupling import (CouplingSpec, _bag, _phase, carrier_cycle_length, cycle_end_step,
                        generate_carrier_protocol)
 from .engine import Trace, TraceStep
 from .parser import Model
@@ -62,6 +62,13 @@ OSTEOBLAST = "_ob"
 FREE_SLOT = "_f"
 
 
+def _check_density(density: float) -> None:
+    if isinstance(density, bool) or not isinstance(density, (int, float)):
+        raise ValueError(f"density must be an int or a float, got {density!r}")
+    if not 0.0 <= density <= 1.0:
+        raise ValueError(f"density must be within [0, 1], got {density}")
+
+
 class BoneParams(_Record):
     """Build parameters for an n-unit bone model.
 
@@ -78,14 +85,11 @@ class BoneParams(_Record):
         for name, value in (("capacity", capacity), ("oc", oc), ("ob", ob),
                             ("cycles", cycles), ("units", units)):
             _require_int(name, value)
-        if isinstance(density, bool) or not isinstance(density, (int, float)):
-            raise ValueError(f"density must be an int or a float, got {density!r}")
         # Each of these becomes an object count (the payload is at most
         # ``capacity``), and no count may exceed MAX_COUNT.
         if not 1 <= capacity <= MAX_COUNT:
             raise ValueError(f"capacity must be within [1, {MAX_COUNT}]")
-        if not 0.0 <= density <= 1.0:
-            raise ValueError(f"density must be within [0, 1], got {density}")
+        _check_density(density)
         if not (0 <= oc <= MAX_COUNT and 0 <= ob <= MAX_COUNT):
             raise ValueError(f"oc and ob must be within [0, {MAX_COUNT}]")
         if not 0 <= cycles <= MAX_COUNT:
@@ -102,17 +106,15 @@ class BoneParams(_Record):
 
 def encode_density(density: float, capacity: int) -> int:
     """Token count for a density, rounding ties away from zero."""
-    if capacity < 1:
-        raise ValueError("capacity must be >= 1")
-    if not 0.0 <= density <= 1.0:
-        raise ValueError(f"density must be within [0, 1], got {density}")
+    _require_int("capacity", capacity, 1)
+    _check_density(density)
     return min(capacity, math.floor(density * capacity + 0.5))
 
 
 def decode_density(tokens: int, capacity: int) -> float:
     """Density for a token count; inverse of encode on the 1/capacity grid."""
-    if capacity < 1:
-        raise ValueError("capacity must be >= 1")
+    _require_int("capacity", capacity, 1)
+    _require_int("tokens", tokens)
     if not 0 <= tokens <= capacity:
         raise ValueError(f"token count must be within [0, {capacity}], got {tokens}")
     return tokens / capacity
@@ -126,10 +128,8 @@ def micro_rules(spec: CouplingSpec) -> tuple[Rule, Rule]:
     """
     bmu = spec.micro_label
     return (
-        rewrite(f"{bmu}_resorb", bmu,
-                {OSTEOCLAST: 1, spec.cargo_delivered: 1}, {FREE_SLOT: 1}),
-        rewrite(f"{bmu}_form", bmu,
-                {OSTEOBLAST: 1, FREE_SLOT: 1}, {spec.cargo_remodelled: 1}),
+        rewrite(f"{bmu}_resorb", bmu, _bag(OSTEOCLAST, spec.cargo_delivered), _bag(FREE_SLOT)),
+        rewrite(f"{bmu}_form", bmu, _bag(OSTEOBLAST, FREE_SLOT), _bag(spec.cargo_remodelled)),
     )
 
 

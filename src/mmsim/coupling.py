@@ -55,9 +55,14 @@ from .core import (Multiset, Rule, RuleForm, _Record, _require_int, _set, endo, 
 __all__ = ["CouplingSpec", "generate_carrier_protocol", "carrier_cycle_length", "cycle_end_step"]
 
 
-@cache  # multisets are immutable, so every unit shares the phase tokens
+@cache  # multisets are immutable, so every unit shares each distinct rule side
+def _bag(*symbols: str) -> Multiset:
+    """The multiset of *symbols*, one of each."""
+    return Multiset(dict.fromkeys(symbols, 1))
+
+
 def _phase(index: int) -> Multiset:
-    return Multiset({f"p{index}": 1})
+    return _bag(f"p{index}")
 
 
 class CouplingSpec(_Record):
@@ -153,7 +158,7 @@ def _phase_table(spec: CouplingSpec, waits: Iterable[str]) -> tuple[tuple, int]:
     phase lists the transfers it promotes, ``(name, make, consumed,
     produced)``, then the rule that advances it, ``(name, make, *host)``."""
     T, CU, BMU = spec.macro_label, spec.coupling_label, spec.micro_label
-    c, cl, cb, cn, cr = (Multiset({s: 1}) for s in (spec.payload_symbol, *spec.cargo_symbols))
+    c, cl, cb, cn, cr = map(_bag, (spec.payload_symbol, *spec.cargo_symbols))
     lead_in = ((("depart", exo, CU),), (("enter_tissue", endo, T),))
     cycle = (
         (("drain", send_in, c, cl), ("drain_done", rewrite)),
@@ -185,7 +190,7 @@ def generate_carrier_protocol(spec: CouplingSpec, micro: Iterable[Rule]) -> tupl
         rules += (send(spec.rule_id(transfer), V, consumed, produced, promoter=phase)
                   for transfer, send, consumed, produced in transfers)
         # Departure (out of the first phase) and restart (out of the last) pay a cycle token.
-        paid = Multiset({**phase, spec.cycle_symbol: 1}) if index in (0, last) else phase
+        paid = _bag(f"p{index}", spec.cycle_symbol) if index in (0, last) else phase
         following = _phase(index + 1 if index < last else drain)
         rules.append(make(spec.rule_id(name), V, *host, paid, following))
     return tuple(rules)

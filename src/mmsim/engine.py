@@ -193,19 +193,20 @@ class Trace(_Record):
 # The rule table a run compiles once
 
 class _Entry:
-    """One rule as the enumerator and effect application read it."""
+    """One rule as the enumerator and effect application read it.  Its
+    multisets become sorted ``(symbol, count)`` tuples, kept in *items* so
+    that the rules of a table share one tuple per distinct multiset."""
 
     __slots__ = ("index", "rule", "form", "host", "consumed", "produced", "promoter")
 
-    def __init__(self, index: int, rule: Rule):
+    def __init__(self, index: int, rule: Rule, items: dict[Multiset, tuple]):
         self.index = index
         self.rule = rule
         self.form = rule.form
         self.host = rule.host
-        self.consumed = tuple(sorted(rule.consumed._counts.items()))
-        self.produced = tuple(sorted(rule.produced._counts.items()))
-        self.promoter = (None if rule.promoter is None
-                         else tuple(sorted(rule.promoter._counts.items())))
+        self.consumed, self.produced, self.promoter = (
+            None if ms is None else items.setdefault(ms, tuple(sorted(ms._counts.items())))
+            for ms in (rule.consumed, rule.produced, rule.promoter))
 
 
 class _Table:
@@ -215,8 +216,9 @@ class _Table:
 
     def __init__(self, rules: tuple[Rule, ...]):
         by_label: dict[str, list[_Entry]] = {}
+        items: dict[Multiset, tuple] = {}
         for index, rule in enumerate(rules):
-            by_label.setdefault(rule.subject, []).append(_Entry(index, rule))
+            by_label.setdefault(rule.subject, []).append(_Entry(index, rule, items))
         self.groups: list[tuple[str, list[tuple[str, _Entry]], list[tuple[str, _Entry]]]] = []
         for label, entries in by_label.items():
             # Rarest first: a symbol that many of the label's rules consume
@@ -439,8 +441,7 @@ def _apply(state: _State, applied: Sequence[tuple[tuple, int]]) -> bool:
     # grow in the second loop and its overflow check sees no transient peak.
     for (_, _, _, _, source, consumed, _, e), k in applied:
         src = contents[source]
-        label = labels[source]
-        total = totals[label]
+        total = totals[labels[source]]
         for sym, n in consumed:
             kn = k * n
             left = src.get(sym, 0) - kn
@@ -596,7 +597,9 @@ def _steps(state: _State, rules: tuple[Rule, ...], options: EngineOptions,
             return
 
 
-def _start(model: Model, max_steps: int) -> _State:
+def _start(model: Model, options: EngineOptions, max_steps: int) -> _State:
+    if not isinstance(options, EngineOptions):
+        raise ValueError(f"options must be an EngineOptions, got {options!r}")
     _require_int("max_steps", max_steps, 0)
     return _State(model.config)
 
@@ -610,7 +613,7 @@ def iter_steps(model: Model, options: EngineOptions = EngineOptions(),
     :class:`EngineError` raised by a step carries that step's index and
     ends the stream.
     """
-    return _steps(_start(model, max_steps), model.rules, options, max_steps)
+    return _steps(_start(model, options, max_steps), model.rules, options, max_steps)
 
 
 def run(model: Model, options: EngineOptions = EngineOptions(),
@@ -622,6 +625,6 @@ def run(model: Model, options: EngineOptions = EngineOptions(),
     step is recorded in the trace when the run reaches it.  An
     :class:`EngineError` raised by a step carries that step's index.
     """
-    state = _start(model, max_steps)
+    state = _start(model, options, max_steps)
     steps = tuple(_steps(state, model.rules, options, max_steps))
     return Trace(options.seed, RNG_ALGORITHM, steps, state.config())

@@ -56,24 +56,17 @@ def model_hash(model: Model) -> str:
 
 
 # json.dumps with these arguments builds an encoder on every call; a run
-# encodes one state per step, so the encoder is built once.
+# encodes one state per step and every applied rule id, so the encoder is
+# built once.
 _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-class _JsonStrings(dict):
-    """A string's JSON form, encoded on first lookup and kept."""
-
-    def __missing__(self, key: str) -> str:
-        encoded = self[key] = json.dumps(key)
-        return encoded
-
-
-def _step_line(step: TraceStep, with_state: bool, rule_json: _JsonStrings) -> str:
+def _step_line(step: TraceStep, with_state: bool) -> str:
     """What :func:`_dump` gives for the step's record, written field by
     field in its sorted key order."""
     applied = ",".join(
         f'{{"count":{a.count},"host":{"null" if a.host is None else a.host},'
-        f'"rule":{rule_json[a.rule]},"subject":{a.subject}}}'
+        f'"rule":{_dump(a.rule)},"subject":{a.subject}}}'
         for a in step.applied)
     state = f',"state":{_dump(step.state)}' if with_state else ""
     halted = "true" if step.halted else "false"
@@ -96,19 +89,18 @@ def trace_lines(seed: int, rng: str, digest: str, steps: Iterable[TraceStep],
 
 def _lines(header: str, steps: Iterable[TraceStep], snapshot_every: int) -> Iterator[str]:
     yield header
-    rule_json = _JsonStrings()
     held: TraceStep | None = None
     try:
         for step in steps:
             if held is not None:
-                yield _step_line(held, held.index % snapshot_every == 0, rule_json)
+                yield _step_line(held, held.index % snapshot_every == 0)
             held = step
     except EngineError:
         if held is not None:
-            yield _step_line(held, True, rule_json)
+            yield _step_line(held, True)
         raise
     if held is not None:
-        yield _step_line(held, True, rule_json)
+        yield _step_line(held, True)
 
 
 def dump_trace(trace: Trace, digest: str, snapshot_every: int = 1) -> str:

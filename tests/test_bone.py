@@ -44,6 +44,14 @@ class TestDensityCodec:
             encode_density(1.5, 20)
         with pytest.raises(ValueError):
             encode_density(-0.1, 20)
+        with pytest.raises(ValueError, match="capacity must be an int"):
+            encode_density(0.5, True)
+        with pytest.raises(ValueError, match="capacity must be an int"):
+            encode_density(0.5, 20.0)
+        with pytest.raises(ValueError, match="density must be an int or a float"):
+            encode_density(True, 20)
+        with pytest.raises(ValueError, match="density must be an int or a float"):
+            encode_density("0.5", 20)
 
     def test_decode(self):
         assert decode_density(8, 20) == 0.4
@@ -54,6 +62,12 @@ class TestDensityCodec:
             decode_density(21, 20)
         with pytest.raises(ValueError):
             decode_density(-1, 20)
+        with pytest.raises(ValueError, match="tokens must be an int"):
+            decode_density(True, 20)
+        with pytest.raises(ValueError, match="tokens must be an int"):
+            decode_density(2.0, 20)
+        with pytest.raises(ValueError, match="capacity must be an int"):
+            decode_density(1, True)
 
     def test_round_trip_on_grid(self):
         for tokens in range(21):
@@ -96,6 +110,16 @@ class TestBuild:
                              ("V2", {"p0": 1, "cyc": 3}, [])]),
             ]))
         assert model.config == expected  # ids included: both number in pre-order
+
+    def test_units_share_their_rule_sides(self):
+        # Every unit's rules are built from the same bodies, so a model
+        # holds one multiset per distinct body whatever its size.
+        def side_objects(units: int) -> int:
+            rules = build_bone_model(BoneParams(units=units, oc=3, ob=1)).rules
+            return len({id(side) for r in rules
+                        for side in (r.consumed, r.produced, r.promoter) if side is not None})
+
+        assert side_objects(5) == side_objects(1)
 
     def test_zero_stocks_omit_entries(self):
         model = build_bone_model(BoneParams(density=0.0, oc=0, ob=0, cycles=0))

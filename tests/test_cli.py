@@ -18,7 +18,7 @@ import mmsim
 from mmsim.bone import BoneParams, build_bone_model, density_series
 from mmsim.cli import _build_argparser, main
 from mmsim.core import MAX_COUNT, MAX_DEPTH
-from mmsim.engine import EngineOptions, run
+from mmsim.engine import AppliedRule, EngineOptions, TraceStep, run
 from mmsim.parser import parse_model, serialize_model
 from mmsim.tracefile import model_hash, trace_lines
 
@@ -112,6 +112,14 @@ class TestRun:
     def test_snapshot_every_must_be_an_int(self, every):
         with pytest.raises(ValueError, match="snapshot_every must be an int"):
             list(trace_lines(0, "rng", "", [], every))
+
+    def test_rule_ids_are_escaped_as_json_dumps_escapes_them(self):
+        ids = ['a"b', "r\u00e9gle", "back\\slash"]
+        applied = tuple(AppliedRule(rule, 1, None, 1) for rule in ids)
+        line = list(trace_lines(0, "r", "", [TraceStep(0, applied, False, {})]))[1]
+        for rule in ids:
+            assert f'"rule":{json.dumps(rule)},' in line
+        assert [a["rule"] for a in json.loads(line)["applied"]] == ids
 
     @pytest.mark.parametrize("every", [0, 1.5])
     def test_snapshot_every_is_checked_at_the_call(self, every):

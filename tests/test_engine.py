@@ -7,6 +7,7 @@ import json
 import pytest
 
 from mmsim import engine, oracle
+from mmsim.bone import BoneParams, build_bone_model
 from mmsim.core import (
     MAX_COUNT,
     MAX_DEPTH,
@@ -125,6 +126,17 @@ class TestEnumerate:
         rules.pop()
         assert len(enumerate_instances(model.config, rules)) == 1
         assert len(compiled) == 3
+
+    def test_rules_with_equal_bodies_share_their_item_tuples(self):
+        rules = build_bone_model(BoneParams(units=3, oc=3, ob=1)).rules
+        entries = {e.rule.id: e for _, own, via_parent in engine._compile(rules).groups
+                   for _, e in own + via_parent}
+        first = [rule_id for rule_id in entries if rule_id.split("_")[0].endswith("1")]
+        assert len(first) == 21
+        for rule_id in first:
+            a, b = entries[rule_id], entries[rule_id.replace("1_", "3_", 1)]
+            assert a.consumed is b.consumed and a.produced is b.produced
+            assert a.promoter is b.promoter
 
     def test_key_symbol_is_subject_side_unless_plain_send_in(self):
         table = engine._Table((
@@ -504,6 +516,13 @@ class TestOptions:
     def test_fields_must_be_ints(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an int"):
             EngineOptions(**{field: value})
+
+    @pytest.mark.parametrize("options", [None, 5])
+    def test_runs_check_options_before_the_first_step(self, options):
+        with pytest.raises(ValueError, match="options must be an EngineOptions"):
+            iter_steps(drain_model(), options)
+        with pytest.raises(ValueError, match="options must be an EngineOptions"):
+            run(drain_model(), options)
 
     def test_seed_range_ends_are_accepted(self):
         assert EngineOptions(seed=0).seed == 0
