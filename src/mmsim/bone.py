@@ -82,20 +82,13 @@ class BoneParams(_Record):
 
     def __init__(self, capacity: int = 20, density: float = 0.5, oc: int = 0, ob: int = 0,
                  cycles: int = 1, units: int = 1) -> None:
-        for name, value in (("capacity", capacity), ("oc", oc), ("ob", ob),
-                            ("cycles", cycles), ("units", units)):
-            _require_int(name, value)
-        # Each of these becomes an object count (the payload is at most
-        # ``capacity``), and no count may exceed MAX_COUNT.
-        if not 1 <= capacity <= MAX_COUNT:
-            raise ValueError(f"capacity must be within [1, {MAX_COUNT}]")
+        # Each count but units becomes an object count (the payload is at
+        # most ``capacity``), and no count may exceed MAX_COUNT.
+        _require_int("capacity", capacity, 1, MAX_COUNT)
         _check_density(density)
-        if not (0 <= oc <= MAX_COUNT and 0 <= ob <= MAX_COUNT):
-            raise ValueError(f"oc and ob must be within [0, {MAX_COUNT}]")
-        if not 0 <= cycles <= MAX_COUNT:
-            raise ValueError(f"cycles must be within [0, {MAX_COUNT}]")
-        if units < 1:
-            raise ValueError("units must be >= 1")
+        for name, value in (("oc", oc), ("ob", ob), ("cycles", cycles)):
+            _require_int(name, value, 0, MAX_COUNT)
+        _require_int("units", units, 1)
         _set(self, "capacity", capacity)
         _set(self, "density", density)
         _set(self, "oc", oc)
@@ -114,9 +107,7 @@ def encode_density(density: float, capacity: int) -> int:
 def decode_density(tokens: int, capacity: int) -> float:
     """Density for a token count; inverse of encode on the 1/capacity grid."""
     _require_int("capacity", capacity, 1)
-    _require_int("tokens", tokens)
-    if not 0 <= tokens <= capacity:
-        raise ValueError(f"token count must be within [0, {capacity}], got {tokens}")
+    _require_int("tokens", tokens, 0, capacity)
     return tokens / capacity
 
 

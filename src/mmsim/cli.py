@@ -20,6 +20,7 @@ from collections import deque
 from typing import Callable, Iterator
 
 from .bone import BoneParams, DensitySampler, build_bone_model, micro_rules
+from .core import _require_int
 from .coupling import CouplingSpec, cycle_end_step
 from .engine import EngineError, EngineOptions, TraceStep, iter_steps, label_totals
 from .parser import Model, ParseError, lint, parse_model, serialize_model
@@ -107,10 +108,8 @@ def _drive(model: Model, options: EngineOptions, steps: Iterator[TraceStep],
 def _run(path: str, seed: int, max_steps: int, trace_path: str | None,
          snapshot_every: int) -> None:
     """Run a model file and print a one-line summary."""
-    if max_steps < 0:
-        raise ValueError("max-steps must be >= 0")
-    if snapshot_every < 1:
-        raise ValueError("snapshot-every must be >= 1")
+    _require_int("max-steps", max_steps, 0)
+    _require_int("snapshot-every", snapshot_every, 1)
     options = EngineOptions(seed=seed)
     model = _load(path)
     steps = iter_steps(model, options, max_steps)

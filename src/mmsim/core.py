@@ -85,10 +85,21 @@ def is_symbol(name: object) -> bool:
             and name not in KEYWORDS)
 
 
-def check_symbol(name: object) -> str:
+def check_symbol(name: object) -> None:
     if not is_symbol(name):
         raise ValueError(f"invalid symbol {name!r}")
-    return name  # type: ignore[return-value]
+
+
+def _require_int(name: str, value: object, least: int | None = None,
+                 most: int | None = None) -> None:
+    """Raise ``ValueError`` unless *value* is an int, not a bool, at least
+    *least* and, given *most* (which needs *least*), at most *most*."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if most is not None and not least <= value <= most:
+        raise ValueError(f"{name} must be within [{least}, {most}]")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 class Multiset(Mapping):
@@ -107,14 +118,10 @@ class Multiset(Mapping):
             items = entries.items() if isinstance(entries, Mapping) else entries
             for sym, n in items:
                 check_symbol(sym)
-                if isinstance(n, bool) or not isinstance(n, int):
-                    raise ValueError(f"count for {sym!r} must be an int, got {n!r}")
-                if n <= 0:
-                    raise ValueError(f"count for {sym!r} must be >= 1, got {n}")
-                total = counts.get(sym, 0) + n
-                if total > MAX_COUNT:
-                    raise OverflowError(f"count for {sym!r} exceeds {MAX_COUNT}")
-                counts[sym] = total
+                name = f"count for {sym!r}"
+                _require_int(name, n, 1)
+                counts[sym] = counts.get(sym, 0) + n
+                _require_int(name, counts[sym], 1, MAX_COUNT)
         self._counts = counts
         self._hash: int | None = None
 
@@ -184,13 +191,6 @@ _MOVE_FORMS = (RuleForm.ENDO, RuleForm.EXO)
 _set = object.__setattr__
 
 
-def _require_int(name: str, value: object, least: int | None = None) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if least is not None and value < least:
-        raise ValueError(f"{name} must be >= {least}")
-
-
 class _Record:
     """Base of the immutable record types.
 
@@ -252,6 +252,8 @@ class Rule(_Record):
                  produced: Multiset, host: str | None = None,
                  promoter: Multiset | None = None) -> None:
         check_symbol(id)
+        if not isinstance(form, RuleForm):
+            raise ValueError(f"rule {id!r}: form must be a RuleForm, got {form!r}")
         check_symbol(subject)
         consumed = as_multiset(consumed)
         produced = as_multiset(produced)
@@ -321,8 +323,7 @@ class Membrane(_Record):
 
     def __init__(self, id: int, label: str, contents: Multiset = EMPTY,
                  children: tuple["Membrane", ...] = ()) -> None:
-        if isinstance(id, bool) or not isinstance(id, int) or id < 0:
-            raise ValueError(f"membrane id must be a non-negative int, got {id!r}")
+        _require_int("membrane id", id, 0)
         check_symbol(label)
         _set(self, "id", id)
         _set(self, "label", label)

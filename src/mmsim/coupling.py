@@ -49,8 +49,8 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterable
 
-from .core import (Multiset, Rule, RuleForm, _Record, _require_int, _set, endo, exo, is_symbol,
-                   rewrite, send_in, send_out)
+from .core import (Multiset, Rule, RuleForm, _Record, _require_int, _set, check_symbol, endo,
+                   exo, rewrite, send_in, send_out)
 
 __all__ = ["CouplingSpec", "generate_carrier_protocol", "carrier_cycle_length", "cycle_end_step"]
 
@@ -89,8 +89,7 @@ class CouplingSpec(_Record):
         labels = (self.macro_label, self.micro_label, self.coupling_label, self.carrier_label)
         user_symbols = labels + (self.payload_symbol, self.cycle_symbol)
         for name in user_symbols:
-            if not is_symbol(name):
-                raise ValueError(f"invalid name {name!r}")
+            check_symbol(name)
             if name.startswith("_"):
                 raise ValueError(
                     f"{name!r} collides with the reserved '_' prefix for generated symbols")

@@ -56,6 +56,11 @@ __all__ = ["ParseError", "Model", "parse_model", "serialize_model", "rule_text",
 
 _COUNT_DIGITS = len(str(MAX_COUNT))
 
+# A rule form's value is the word that writes it, and a move form's host
+# follows the word here.
+_FORMS = {form.value: form for form in RuleForm}
+_HOST_WORDS = {RuleForm.ENDO: "into", RuleForm.EXO: "from"}
+
 
 class ParseError(ValueError):
     """A positioned syntax or well-formedness error in model text."""
@@ -73,9 +78,13 @@ class Model(_Record):
     __slots__ = ("config", "rules")
 
     def __init__(self, config: Configuration, rules: tuple[Rule, ...] = ()) -> None:
+        if not isinstance(config, Configuration):
+            raise ValueError(f"model config must be a Configuration, got {config!r}")
         rules = tuple(rules)
         seen: set[str] = set()
         for rule in rules:
+            if not isinstance(rule, Rule):
+                raise ValueError(f"model rules must be Rule values, got {rule!r}")
             if rule.id in seen:
                 raise ValueError(f"duplicate rule id {rule.id!r}")
             seen.add(rule.id)
@@ -245,27 +254,15 @@ class _Parser:
         seen_ids.add(rule_id)
         self.expect(":", "':'")
 
-        kind, word, _ = self.cur
+        form = _FORMS.get(self.cur[1])
+        if form is None:
+            raise self.error(f"expected a rule form ({', '.join(_FORMS)})")
+        self.advance()
+        subject = self.name("membrane label")
         host = None
-        if kind == "sendkw":
-            self.advance()
-            form = RuleForm.SEND_IN if word == "send-in" else RuleForm.SEND_OUT
-            subject = self.name("membrane label")
-        elif kind == "ident" and word in ("in", "endo", "exo"):
-            self.advance()
-            subject = self.name("membrane label")
-            if word == "in":
-                form = RuleForm.REWRITE
-            elif word == "endo":
-                form = RuleForm.ENDO
-                self.keyword("into")
-                host = self.name("host label")
-            else:
-                form = RuleForm.EXO
-                self.keyword("from")
-                host = self.name("host label")
-        else:
-            raise self.error("expected a rule form (in, endo, exo, send-in, send-out)")
+        if form in _HOST_WORDS:
+            self.keyword(_HOST_WORDS[form])
+            host = self.name("host label")
 
         self.expect(":", "':'")
         consumed = self.contents()
@@ -322,12 +319,9 @@ def rule_text(rule: Rule) -> str:
     """The canonical one-line rendering of a rule."""
     lhs = str(rule.consumed)
     rhs = str(rule.produced) if rule.produced else "()"
-    if rule.form is RuleForm.ENDO:
-        body = f"endo {rule.subject} into {rule.host}"
-    elif rule.form is RuleForm.EXO:
-        body = f"exo {rule.subject} from {rule.host}"
-    else:
-        body = f"{rule.form.value} {rule.subject}"
+    body = f"{rule.form.value} {rule.subject}"
+    if rule.form in _HOST_WORDS:
+        body += f" {_HOST_WORDS[rule.form]} {rule.host}"
     text = f"rule {rule.id}: {body}: {lhs} -> {rhs}"
     if rule.promoter is not None:
         text += f" if {rule.promoter}"

@@ -44,8 +44,7 @@ class SplitMix64:
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound) via rejection sampling (no modulo bias)."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        _require_int("bound", bound, 1)
         threshold = (MASK64 + 1) - ((MASK64 + 1) % bound)
         while True:
             v = self.next_u64()

@@ -15,9 +15,10 @@ from pathlib import Path
 import pytest
 
 import mmsim
-from mmsim.bone import BoneParams, build_bone_model, density_series
+from mmsim.bone import BoneParams, build_bone_model, density_series, micro_rules
 from mmsim.cli import _build_argparser, main
 from mmsim.core import MAX_COUNT, MAX_DEPTH
+from mmsim.coupling import CouplingSpec, cycle_end_step
 from mmsim.engine import AppliedRule, EngineOptions, TraceStep, run
 from mmsim.parser import parse_model, serialize_model
 from mmsim.tracefile import model_hash, trace_lines
@@ -284,7 +285,9 @@ class TestBone:
         trace = tmp_path / "bone.jsonl"
         assert main(["bone", "--oc", "1", "--ob", "1", "--trace", str(trace)]) == 0
         capsys.readouterr()
-        assert len(trace.read_text().splitlines()) == 16  # header + 15 steps
+        # The header, steps 0 through the deposit step, then the halting step.
+        lines = trace.read_text().splitlines()
+        assert len(lines) == cycle_end_step(1, micro_rules(CouplingSpec())) + 3
 
     @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
     def test_seed_outside_unsigned_64_bits_is_one_error_line(self, seed, tmp_path, capsys):
@@ -299,8 +302,8 @@ class TestBone:
     @pytest.mark.parametrize("flags,domain", [
         (["--cycles", str(MAX_COUNT + 1)], "cycles must be within [0, "),
         (["--capacity", str(1 << 64), "--density", "1"], "capacity must be within [1, "),
-        (["--oc", str(MAX_COUNT + 1)], "oc and ob must be within [0, "),
-        (["--ob", str(MAX_COUNT + 1)], "oc and ob must be within [0, "),
+        (["--oc", str(MAX_COUNT + 1)], "oc must be within [0, "),
+        (["--ob", str(MAX_COUNT + 1)], "ob must be within [0, "),
     ], ids=["cycles", "capacity", "oc", "ob"])
     def test_count_above_max_count_is_one_error_line(self, flags, domain, capsys):
         assert main(["bone", *flags]) == 1

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mmsim.core import (
     KEYWORDS,
+    MAX_COUNT,
     Configuration,
     Membrane,
     Multiset,
@@ -61,6 +62,11 @@ class TestMultiset:
             Multiset({"c": -2})
         with pytest.raises(ValueError):
             Multiset({"c": True})
+        with pytest.raises(ValueError, match=r"count for 'a' must be within \[1, "):
+            Multiset({"a": MAX_COUNT + 1})
+        with pytest.raises(ValueError, match=r"count for 'a' must be within \[1, "):
+            Multiset([("a", MAX_COUNT), ("a", 1)])
+        assert Multiset([("a", MAX_COUNT - 1), ("a", 1)])["a"] == MAX_COUNT
 
     def test_construction_rejects_bad_symbols(self):
         with pytest.raises(ValueError):
@@ -107,6 +113,19 @@ class TestRule:
         rule = rewrite("r", "skin", {"a": 1}, {"b": 1}, promoter={})
         assert rule.promoter is None
 
+    @pytest.mark.parametrize("form", ["in", None, RuleForm])
+    def test_form_must_be_a_rule_form(self, form):
+        with pytest.raises(ValueError, match="rule 'r': form must be a RuleForm"):
+            Rule("r", form, "A", {"a": 1}, {"b": 1})
+
+    @pytest.mark.parametrize("form,host", [
+        (RuleForm.REWRITE, None), (RuleForm.ENDO, "B"), (RuleForm.EXO, "B"),
+        (RuleForm.SEND_IN, None), (RuleForm.SEND_OUT, None),
+    ])
+    def test_moves_membrane_exactly_for_endo_and_exo(self, form, host):
+        rule = Rule("r", form, "A", {"a": 1}, {"b": 1}, host)
+        assert rule.moves_membrane == (host is not None)
+
     def test_endo_helper(self):
         rule = endo("e", "V", "CU", {"p0": 1}, {"p1": 1})
         assert rule.form is RuleForm.ENDO and rule.host == "CU"
@@ -130,6 +149,16 @@ class TestConfiguration:
     def test_duplicate_id_rejected_at_construction(self):
         with pytest.raises(ValueError):
             Configuration(Membrane(0, "skin", Multiset(), (Membrane(1, "a"), Membrane(1, "b"))))
+
+    @pytest.mark.parametrize("mid,message", [
+        ("1", "membrane id must be an int, got '1'"),
+        (True, "membrane id must be an int, got True"),
+        (-1, "membrane id must be >= 0"),
+    ], ids=["str", "bool", "negative"])
+    def test_membrane_id_must_be_a_non_negative_int(self, mid, message):
+        with pytest.raises(ValueError) as err:
+            Membrane(mid, "A")
+        assert str(err.value) == message
 
     def test_shared_subtree_detected(self):
         shared = Membrane(1, "a")

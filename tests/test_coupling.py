@@ -45,6 +45,15 @@ class TestSpec:
             with pytest.raises(ValueError):
                 CouplingSpec(payload_symbol=name)
 
+    @pytest.mark.parametrize("name", ["", "1x", "rule", None])
+    def test_names_are_checked_as_symbols(self, name):
+        with pytest.raises(ValueError, match=f"invalid symbol {name!r}"):
+            CouplingSpec(carrier_label=name)
+
+    def test_payload_and_cycle_symbols_differ(self):
+        with pytest.raises(ValueError, match="payload and cycle symbols must differ"):
+            CouplingSpec(payload_symbol="x", cycle_symbol="x")
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
             CouplingSpec(macro_label="X", micro_label="X")

@@ -187,6 +187,9 @@ class TestSerialize:
             "empty.mm": (1, 1, "expected '[', found end of input"),
             "keyword_label.mm": (1, 2, "expected membrane label (keyword 'rule' is reserved),"
                                        " found 'rule'"),
+            "bad_form.mm": (2, 9, "expected a rule form (in, endo, exo, send-in, send-out),"
+                                  " found 'into'"),
+            "endo_from.mm": (2, 16, "expected 'into', found 'from'"),
         }
         assert {p.name for p in corpus_invalid} == set(expected)
         for path in corpus_invalid:
@@ -242,6 +245,23 @@ def test_fuzz_bytes_never_crash(data):
         assert err.line >= 1 and err.column >= 1
     else:
         assert isinstance(model, Model)
+
+
+class TestModel:
+    config = parse_model("[s: a]").config
+
+    def test_config_must_be_a_configuration(self):
+        with pytest.raises(ValueError, match="model config must be a Configuration"):
+            Model("cfg")
+
+    def test_rules_must_be_rules(self):
+        with pytest.raises(ValueError, match="model rules must be Rule values"):
+            Model(self.config, ["x"])
+
+    def test_duplicate_rule_id_rejected(self):
+        rule = Rule("r", RuleForm.REWRITE, "s", Multiset({"a": 1}), Multiset())
+        with pytest.raises(ValueError, match="duplicate rule id 'r'"):
+            Model(self.config, [rule, rule])
 
 
 class TestLint:

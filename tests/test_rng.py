@@ -34,8 +34,9 @@ def test_below_range_and_determinism():
 
 
 def test_below_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        SplitMix64(0).below(0)
+    for bound in (0, -1, 2.5, True, "3"):
+        with pytest.raises(ValueError):
+            SplitMix64(0).below(bound)
 
 
 def test_shuffle_reproducible_and_permutes():
