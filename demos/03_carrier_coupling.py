@@ -9,6 +9,7 @@ from mmsim import (
     Model,
     build_configuration,
     carrier_cycle_length,
+    cycle_end_step,
     generate_carrier_protocol,
     render_tree,
     rule_text,
@@ -49,5 +50,8 @@ print()
 print("final tree:")
 print(render_tree(trace.final.skin))
 print()
-print(f"a steady-state macro-cycle takes {carrier_cycle_length(micro)} steps;")
-print("the first one pays 2 extra steps to leave the coupling membrane.")
+# Round trip 1 ends in step cycle_end_step(1), counted from step 0.
+cycle = carrier_cycle_length(micro)
+extra = cycle_end_step(1, micro) + 1 - cycle
+print(f"a steady-state macro-cycle takes {cycle} steps;")
+print(f"the first one pays {extra} extra steps to leave the coupling membrane.")

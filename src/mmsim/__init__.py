@@ -7,55 +7,17 @@ turns two-scale model coupling into plain membrane rules, and a bone
 remodelling case study built on it.
 """
 
-from .core import (
-    EMPTY,
-    Configuration,
-    InvalidConfigurationError,
-    Membrane,
-    Multiset,
-    Rule,
-    RuleForm,
-    RuleInstance,
-    build_configuration,
-    endo,
-    exo,
-    iter_membranes,
-    render_tree,
-    rewrite,
-    send_in,
-    send_out,
-    validate,
-)
-from .engine import (
-    CountOverflow,
-    DepthExceeded,
-    EngineError,
-    EngineOptions,
-    InstanceBoundExceeded,
-    SelfCheckViolation,
-    StepResult,
-    Trace,
-    TraceStep,
-    enumerate_instances,
-    iter_steps,
-    label_totals,
-    run,
-    step,
-)
-from .parser import Model, ParseError, lint, parse_model, rule_text, serialize_model
-from .coupling import CouplingSpec, carrier_cycle_length, cycle_end_step, generate_carrier_protocol
-from .bone import (
-    BoneParams,
-    DensitySampler,
-    build_bone_model,
-    decode_density,
-    density_series,
-    encode_density,
-    micro_rules,
-    transit_total,
-    unit_spec,
-)
-from .rng import RNG_ALGORITHM, SplitMix64
-from .tracefile import dump_trace, model_hash, trace_lines
+from .core import *
+from .engine import *
+from .parser import *
+from .coupling import *
+from .bone import *
+from .rng import *
+from .tracefile import *
+
+# The package exports each module's __all__; importing a submodule binds its
+# name here.  The oracle and the CLI stay out, so the CLI does not load them.
+__all__ = (core.__all__ + engine.__all__ + parser.__all__ + coupling.__all__
+           + bone.__all__ + rng.__all__ + tracefile.__all__)
 
 __version__ = "0.1.0"

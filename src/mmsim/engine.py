@@ -41,7 +41,7 @@ The state keeps running per-label object totals: effect application
 updates them as it changes counts, and each step hands out its own copy of
 the label totals.  Selection and the maximality rescan are each one loop
 over the flat candidate tuples built at enumeration (source membrane,
-consumed items, lock pair), with the residual counts and the locked
+lock pair, rule entry), with the residual counts and the locked
 membranes in a plain dict and set; there is no selection object and no
 call per candidate.  Selection copies a membrane's counts only when an
 instance first consumes from it.
@@ -68,6 +68,7 @@ from .core import (
     MAX_INSTANCES,
     _require_int,
     _set,
+    _wrap,
     _Record,
     Configuration,
     Membrane,
@@ -298,8 +299,9 @@ class _State:
         self.by_label = {label: sorted(ids) for label, ids in by_label.items()}
 
     def config(self) -> Configuration:
+        # Counts stay in [1, MAX_COUNT] by _apply's own checks: no re-check.
         def build(mid: int) -> Membrane:
-            return Membrane(mid, self.labels[mid], Multiset(self.contents[mid]),
+            return Membrane(mid, self.labels[mid], _wrap(dict(self.contents[mid])),
                             tuple(build(c) for c in self.children[mid]))
 
         return Configuration(build(self.skin))
@@ -316,8 +318,8 @@ def _fits(counts: dict[str, int], need: tuple[tuple[str, int], ...]) -> bool:
 # Instance enumeration
 #
 # A candidate is a tuple
-#     (rule index, subject id, host id, parent id, source id, consumed, locks, entry)
-# where the source is the membrane the consumption is charged to and
+#     (rule index, subject id, host id, source id, locks, entry)
+# where the source is the membrane ``entry.consumed`` is charged to and
 # ``locks`` is the (subject, host) pair of an endo/exo move, else None.
 # Tuples sort by rule index, then subject id, then host id, and no two
 # candidates share those three.
@@ -338,37 +340,37 @@ def _enumerate(state: _State, table: _Table) -> list[tuple]:
                 form, consumed = e.form, e.consumed
                 if form is RuleForm.REWRITE:
                     if _fits(here, consumed):
-                        out.append((e.index, sid, None, pid, sid, consumed, None, e))
+                        out.append((e.index, sid, None, sid, None, e))
                 elif pid is None:
                     continue
                 elif form is RuleForm.ENDO:
                     if _fits(here, consumed):
                         for hid in state.children[pid]:
                             if hid != sid and labels[hid] == e.host:
-                                out.append((e.index, sid, hid, pid, sid, consumed, (sid, hid), e))
+                                out.append((e.index, sid, hid, sid, (sid, hid), e))
                 elif form is RuleForm.EXO:
                     # The subject leaves its parent and becomes the parent's
                     # sibling; the root has no siblings, so exo out of the
                     # skin is never applicable.
                     if (labels[pid] == e.host and parent[pid] is not None
                             and _fits(here, consumed)):
-                        out.append((e.index, sid, pid, pid, sid, consumed, (sid, pid), e))
+                        out.append((e.index, sid, pid, sid, (sid, pid), e))
                 elif form is RuleForm.SEND_IN:
                     if _fits(contents[pid], consumed):
-                        out.append((e.index, sid, None, pid, pid, consumed, None, e))
+                        out.append((e.index, sid, None, pid, None, e))
                 elif _fits(here, consumed):  # SEND_OUT
-                    out.append((e.index, sid, None, pid, sid, consumed, None, e))
+                    out.append((e.index, sid, None, sid, None, e))
             if via_parent and pid is not None:
                 there = contents[pid]
                 for key, e in via_parent:  # send-in rules without a promoter
                     if key in there and _fits(there, e.consumed):
-                        out.append((e.index, sid, None, pid, pid, e.consumed, None, e))
+                        out.append((e.index, sid, None, pid, None, e))
     out.sort()
     return out
 
 
 def _instance(cand: tuple) -> RuleInstance:
-    _, sid, hid, _, _, _, _, e = cand
+    _, sid, hid, _, _, e = cand
     return RuleInstance(e.rule, sid, host_id=hid)
 
 
@@ -402,7 +404,7 @@ def _select_maximal(state: _State, candidates: list[tuple], rng: SplitMix64
     # One pass is maximal: residuals only shrink and locks only grow, so an
     # instance that does not fit when visited never fits later.
     for i in order:
-        _, _, _, _, source, consumed, locks, _ = candidates[i]
+        _, _, _, source, locks, e = candidates[i]
         if locks is not None and (locks[0] in locked or locks[1] in locked):
             continue
         left = residual.get(source)
@@ -410,7 +412,7 @@ def _select_maximal(state: _State, candidates: list[tuple], rng: SplitMix64
         if fresh:
             left = contents[source]
         k = 0
-        for sym, n in consumed:
+        for sym, n in e.consumed:
             q = left.get(sym, 0) // n
             if not q:
                 k = 0
@@ -424,7 +426,7 @@ def _select_maximal(state: _State, candidates: list[tuple], rng: SplitMix64
             locked.update(locks)
         if fresh:
             left = residual[source] = dict(left)
-        for sym, n in consumed:
+        for sym, n in e.consumed:
             left[sym] -= k * n
         counts[i] = k
     return residual, locked, counts
@@ -439,10 +441,10 @@ def _apply(state: _State, applied: Sequence[tuple[tuple, int]]) -> bool:
     labels, totals = state.labels, state.totals
     # Every consumption is charged before any production, so totals only
     # grow in the second loop and its overflow check sees no transient peak.
-    for (_, _, _, _, source, consumed, _, e), k in applied:
+    for (_, _, _, source, _, e), k in applied:
         src = contents[source]
         total = totals[labels[source]]
-        for sym, n in consumed:
+        for sym, n in e.consumed:
             kn = k * n
             left = src.get(sym, 0) - kn
             if left < 0:
@@ -458,9 +460,9 @@ def _apply(state: _State, applied: Sequence[tuple[tuple, int]]) -> bool:
             else:
                 del total[sym]
     moves: list[tuple[int, int]] = []
-    for (_, sid, hid, pid, _, _, locks, e), k in applied:
+    for (_, sid, hid, _, locks, e), k in applied:
         if e.produced:
-            sink = pid if e.form is RuleForm.SEND_OUT else sid
+            sink = parent[sid] if e.form is RuleForm.SEND_OUT else sid
             dst = contents[sink]
             label = labels[sink]
             total = totals[label]
@@ -476,8 +478,8 @@ def _apply(state: _State, applied: Sequence[tuple[tuple, int]]) -> bool:
                 total[sym] = count
                 dst[sym] = dst.get(sym, 0) + kn
         if locks is not None:
-            # EXO leaves the host for the host's parent; every target is read
-            # before any move below changes a parent.
+            # EXO leaves the host for the host's parent.  Targets, like
+            # send-out sinks, are read before any move below changes a parent.
             moves.append((sid, hid if e.form is RuleForm.ENDO else parent[hid]))
 
     for child, new_parent in moves:
@@ -520,13 +522,13 @@ def _check_maximal(candidates: list[tuple], contents: dict[int, dict[str, int]],
     left; runs before the effects are applied, while *contents* still holds
     the pre-step counts."""
     leftover = 0
-    for _, _, _, _, source, consumed, locks, _ in candidates:
+    for _, _, _, source, locks, e in candidates:
         if locks is not None and (locks[0] in locked or locks[1] in locked):
             continue
         left = residual.get(source)
         if left is None:
             left = contents[source]
-        for sym, n in consumed:
+        for sym, n in e.consumed:
             if left.get(sym, 0) < n:
                 break
         else:
@@ -591,7 +593,7 @@ def _steps(state: _State, rules: tuple[Rule, ...], options: EngineOptions,
             exc.step = index
             raise
         summary = tuple(AppliedRule(e.rule.id, sid, hid, k)
-                        for (_, sid, hid, _, _, _, _, e), k in applied)
+                        for (_, sid, hid, _, _, e), k in applied)
         yield TraceStep(index, summary, not applied, _totals(state))
         if not applied:
             return

@@ -11,6 +11,7 @@ from mmsim.bone import BoneParams, build_bone_model
 from mmsim.core import (
     MAX_COUNT,
     MAX_DEPTH,
+    Multiset,
     build_configuration,
     endo,
     exo,
@@ -334,13 +335,21 @@ class TestStep:
         # ids are preserved across the move
         assert {m.id: m.label for m in iter_membranes(result.config.skin)}[1] == "V"
 
-    def test_rewrite_can_fire_while_subject_moves(self):
-        cfg = build_configuration(("skin", {}, [("V", {"p0": 1, "x": 1}, []), ("CU", {}, [])]))
-        rules = [endo("e", "V", "CU", {"p0": 1}, {"p1": 1}),
-                 rewrite("w", "V", {"x": 1}, {"y": 1})]
-        result = step(cfg, rules, SplitMix64(0))
+    @pytest.mark.parametrize("text, label, totals", [
+        pytest.param("[skin: [V: p0, x] [CU: ]] rule e: endo V into CU: p0 -> p1 "
+                     "rule w: in V: x -> y", "V", {"p1": 1, "y": 1}, id="rewrite"),
+        # A send-out delivers into the mover's pre-step parent.
+        pytest.param("[skin: [V: p0, y] [CU: ]] rule e: endo V into CU: p0 -> p1 "
+                     "rule w: send-out V: y -> z", "skin", {"z": 1}, id="endo-send-out"),
+        pytest.param("[skin: [CU: [V: p0, y]]] rule e: exo V from CU: p0 -> p1 "
+                     "rule w: send-out V: y -> z", "CU", {"z": 1}, id="exo-send-out"),
+    ])
+    def test_rewrite_can_fire_while_subject_moves(self, text, label, totals):
+        model = parse_model(text)
+        result = step(model.config, model.rules, SplitMix64(0))
         assert {i.rule.id for i, _ in result.applied} == {"e", "w"}
-        assert label_totals(result.config)["V"] == {"p1": 1, "y": 1}
+        assert label_totals(result.config)[label] == totals
+        assert canonical_form(result.config) in oracle_successors(model.config, model.rules)
 
     def test_instance_bound_enforced(self, monkeypatch):
         # Six distinct instances, one per V; a multiplicity is not counted.
@@ -408,12 +417,17 @@ class TestRun:
         assert again.halted and again.config is trace.final
 
     def test_run_builds_one_configuration(self, monkeypatch):
-        built = []
+        built, checked = [], []
         to_config = engine._State.config
         monkeypatch.setattr(engine._State, "config",
                             lambda state: built.append(1) or to_config(state))
-        trace = run(drain_model(), max_steps=10)
+        model = drain_model()
+        check = Multiset.__init__
+        monkeypatch.setattr(Multiset, "__init__",
+                            lambda ms, *args: checked.append(1) or check(ms, *args))
+        trace = run(model, max_steps=10)
         assert len(trace.steps) == 2 and len(built) == 1  # only Trace.final
+        assert checked == []  # the engine bounded every count it hands out
 
     @staticmethod
     def assert_run_is_chained_steps(model: Model, seed: int, max_steps: int) -> None:
