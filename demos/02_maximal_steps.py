@@ -3,17 +3,17 @@
 Run with:  python3 demos/02_maximal_steps.py
 """
 
-from mmsim import EngineOptions, SplitMix64, label_totals, parse_model, run, step
+from mmsim import EngineOptions, parse_model, run
 from mmsim.oracle import canonical_form, oracle_successors
 
 # Maximality in action: the step cannot stop while an instance could still
 # fire, so a single send-in rule drains all ten tokens in one step.
 drain = parse_model("[skin: c*10 [V: ]] rule load: send-in V: c -> cl")
-result = step(drain.config, drain.rules, SplitMix64(0))
+drained = run(drain, EngineOptions(seed=0), max_steps=1)
 print("one step of the drain model:")
-for inst, count in result.applied:
-    print(f"  {inst.rule.id} fired {count} times")
-print("  state:", label_totals(result.config))
+for a in drained.steps[0].applied:
+    print(f"  {a.rule} fired {a.count} times")
+print("  state:", drained.steps[0].state)
 print()
 
 # When several maximal choices exist, the seed decides, reproducibly.
@@ -33,4 +33,4 @@ successors = oracle_successors(choice.config, choice.rules)
 print(f"the oracle finds {len(successors)} maximal outcomes:")
 for canon in sorted(successors):
     print("  skin holds:", dict(canon[1]))
-assert canonical_form(result.config) in oracle_successors(drain.config, drain.rules)
+assert canonical_form(drained.final) in oracle_successors(drain.config, drain.rules)

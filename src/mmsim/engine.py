@@ -25,12 +25,12 @@ What a step costs
 -----------------
 A rule set is compiled once into a rule table: rules grouped by subject
 label, each with one *key symbol* that must be present for the rule to
-apply.  The key is a symbol the subject itself must hold (a consumed symbol
-of any form but ``send-in``, or a promoter symbol), the rarest such symbol:
-the one that the fewest of the label's rules consume, then promote.  Only
-a ``send-in`` rule without a promoter is keyed on the symbol it consumes
-from the parent.  Enumeration rejects a rule with that one dict lookup
-before it runs the full fit test.  In the carrier protocol the phase
+apply.  A rule is keyed in the membrane it consumes from: a ``send-in``
+rule on a symbol it consumes from the parent, every other rule on a
+symbol the subject must hold (a consumed or promoter symbol).  The key is
+the rarest such symbol: the one that the fewest of the label's rules
+consume, then promote.  Enumeration rejects a rule with that one dict
+lookup before it runs the full fit test.  In the carrier protocol the phase
 tokens become the keys, so only the one to three rules of the current
 phase pass the lookup.  The table of the last rule set is cached,
 so the public per-step calls below reuse it rather than recompile.
@@ -40,11 +40,12 @@ A run steps one flat, id-indexed state in place; immutable
 The state keeps running per-label object totals: effect application
 updates them as it changes counts, and each step hands out its own copy of
 the label totals.  Selection and the maximality rescan are each one loop
-over the flat candidate tuples built at enumeration (source membrane,
-lock pair, rule entry), with the residual counts and the locked
+over the flat candidate tuples built at enumeration (subject, host,
+source membrane, rule entry), with the residual counts and the locked
 membranes in a plain dict and set; there is no selection object and no
-call per candidate.  Selection copies a membrane's counts only when an
-instance first consumes from it.
+call per candidate.  A candidate with a host is an endo/exo move, and its
+subject and host are the membranes the mover-lock takes.  Selection
+copies a membrane's counts only when an instance first consumes from it.
 
 If no instance is applicable the step reports ``halted`` and leaves the
 state unchanged.  Otherwise it rescans its candidates for maximality; and as
@@ -213,7 +214,7 @@ class _Entry:
 class _Table:
     """A rule set grouped by subject label.  Each group is
     ``(label, own, via_parent)``: lists of ``(key symbol, entry)`` pairs,
-    keyed in the subject and in its parent respectively."""
+    keyed in the subject and, for the send-in rules, in its parent."""
 
     def __init__(self, rules: tuple[Rule, ...]):
         by_label: dict[str, list[_Entry]] = {}
@@ -233,15 +234,13 @@ class _Table:
             own: list[tuple[str, _Entry]] = []
             via_parent: list[tuple[str, _Entry]] = []
             for e in entries:
-                # Symbols the subject itself must hold; a send-in rule
-                # consumes from the parent.
-                symbols = [sym for sym, _ in e.promoter or ()]
-                if e.form is not RuleForm.SEND_IN:
-                    symbols += [sym for sym, _ in e.consumed]
-                if symbols:
-                    own.append((min(symbols, key=rarity), e))
+                # Keyed in the membrane the rule consumes from.
+                symbols = [sym for sym, _ in e.consumed]
+                if e.form is RuleForm.SEND_IN:
+                    via_parent.append((min(symbols, key=rarity), e))
                 else:
-                    via_parent.append((min([sym for sym, _ in e.consumed], key=rarity), e))
+                    symbols += [sym for sym, _ in e.promoter or ()]
+                    own.append((min(symbols, key=rarity), e))
             self.groups.append((label, own, via_parent))
 
 
@@ -318,11 +317,11 @@ def _fits(counts: dict[str, int], need: tuple[tuple[str, int], ...]) -> bool:
 # Instance enumeration
 #
 # A candidate is a tuple
-#     (rule index, subject id, host id, source id, locks, entry)
-# where the source is the membrane ``entry.consumed`` is charged to and
-# ``locks`` is the (subject, host) pair of an endo/exo move, else None.
-# Tuples sort by rule index, then subject id, then host id, and no two
-# candidates share those three.
+#     (rule index, subject id, host id, source id, entry)
+# where the source is the membrane ``entry.consumed`` is charged to and the
+# host is None unless the candidate is an endo/exo move.  Tuples sort by
+# rule index, then subject id, then host id, and no two candidates share
+# those three.
 
 def _enumerate(state: _State, table: _Table) -> list[tuple]:
     """Applicable candidates in rule order, then subject id, then host id."""
@@ -332,45 +331,39 @@ def _enumerate(state: _State, table: _Table) -> list[tuple]:
         for sid in state.by_label.get(label, ()):
             here = contents[sid]
             pid = parent[sid]
-            for key, e in own:
-                if key not in here:
+            for key, e in own:  # every rule that consumes from the subject
+                if (key not in here or e.promoter is not None and not _fits(here, e.promoter)
+                        or not _fits(here, e.consumed)):
                     continue
-                if e.promoter is not None and not _fits(here, e.promoter):
-                    continue
-                form, consumed = e.form, e.consumed
+                form = e.form
                 if form is RuleForm.REWRITE:
-                    if _fits(here, consumed):
-                        out.append((e.index, sid, None, sid, None, e))
+                    out.append((e.index, sid, None, sid, e))
                 elif pid is None:
                     continue
                 elif form is RuleForm.ENDO:
-                    if _fits(here, consumed):
-                        for hid in state.children[pid]:
-                            if hid != sid and labels[hid] == e.host:
-                                out.append((e.index, sid, hid, sid, (sid, hid), e))
+                    for hid in state.children[pid]:
+                        if hid != sid and labels[hid] == e.host:
+                            out.append((e.index, sid, hid, sid, e))
                 elif form is RuleForm.EXO:
                     # The subject leaves its parent and becomes the parent's
                     # sibling; the root has no siblings, so exo out of the
                     # skin is never applicable.
-                    if (labels[pid] == e.host and parent[pid] is not None
-                            and _fits(here, consumed)):
-                        out.append((e.index, sid, pid, sid, (sid, pid), e))
-                elif form is RuleForm.SEND_IN:
-                    if _fits(contents[pid], consumed):
-                        out.append((e.index, sid, None, pid, None, e))
-                elif _fits(here, consumed):  # SEND_OUT
-                    out.append((e.index, sid, None, sid, None, e))
+                    if labels[pid] == e.host and parent[pid] is not None:
+                        out.append((e.index, sid, pid, sid, e))
+                else:  # SEND_OUT
+                    out.append((e.index, sid, None, sid, e))
             if via_parent and pid is not None:
                 there = contents[pid]
-                for key, e in via_parent:  # send-in rules without a promoter
-                    if key in there and _fits(there, e.consumed):
-                        out.append((e.index, sid, None, pid, None, e))
+                for key, e in via_parent:  # send-in rules
+                    if (key in there and (e.promoter is None or _fits(here, e.promoter))
+                            and _fits(there, e.consumed)):
+                        out.append((e.index, sid, None, pid, e))
     out.sort()
     return out
 
 
 def _instance(cand: tuple) -> RuleInstance:
-    _, sid, hid, _, _, e = cand
+    _, sid, hid, _, e = cand
     return RuleInstance(e.rule, sid, host_id=hid)
 
 
@@ -389,11 +382,14 @@ def _select_maximal(state: _State, candidates: list[tuple], rng: SplitMix64
                     ) -> tuple[dict[int, dict[str, int]], set[int], list[int]]:
     """A maximal multiset chosen greedily in seeded-shuffle order.
 
-    Returns ``(residual, locked, counts)``: ``residual`` holds a copy of a
-    membrane's counts from its first consumption on (until then the
-    pre-step contents are read directly, so the state must not change
-    before the rescan), ``locked`` the membranes of the chosen moves, and
-    ``counts`` the multiplicity of each candidate.
+    Returns ``(residual, locked, counts)``: ``residual`` holds a copy of
+    the counts of every membrane consumed from, ``locked`` the membranes of
+    the chosen moves, and ``counts`` the multiplicity of each candidate.
+    A source's counts are copied at the first visit to one of its
+    candidates past the lock test; that visit always consumes, since every
+    candidate fits the pre-step counts of its source.  The rescan reads the
+    pre-step contents of every other membrane, so the state must not
+    change before it.
     """
     order = list(range(len(candidates)))
     rng.shuffle(order)
@@ -404,13 +400,12 @@ def _select_maximal(state: _State, candidates: list[tuple], rng: SplitMix64
     # One pass is maximal: residuals only shrink and locks only grow, so an
     # instance that does not fit when visited never fits later.
     for i in order:
-        _, _, _, source, locks, e = candidates[i]
-        if locks is not None and (locks[0] in locked or locks[1] in locked):
+        _, sid, hid, source, e = candidates[i]
+        if hid is not None and (sid in locked or hid in locked):
             continue
         left = residual.get(source)
-        fresh = left is None
-        if fresh:
-            left = contents[source]
+        if left is None:
+            left = residual[source] = dict(contents[source])
         k = 0
         for sym, n in e.consumed:
             q = left.get(sym, 0) // n
@@ -421,11 +416,9 @@ def _select_maximal(state: _State, candidates: list[tuple], rng: SplitMix64
                 k = q
         if not k:
             continue
-        if locks is not None:
+        if hid is not None:
             k = 1
-            locked.update(locks)
-        if fresh:
-            left = residual[source] = dict(left)
+            locked.update((sid, hid))
         for sym, n in e.consumed:
             left[sym] -= k * n
         counts[i] = k
@@ -441,7 +434,7 @@ def _apply(state: _State, applied: Sequence[tuple[tuple, int]]) -> bool:
     labels, totals = state.labels, state.totals
     # Every consumption is charged before any production, so totals only
     # grow in the second loop and its overflow check sees no transient peak.
-    for (_, _, _, source, _, e), k in applied:
+    for (_, _, _, source, e), k in applied:
         src = contents[source]
         total = totals[labels[source]]
         for sym, n in e.consumed:
@@ -460,7 +453,7 @@ def _apply(state: _State, applied: Sequence[tuple[tuple, int]]) -> bool:
             else:
                 del total[sym]
     moves: list[tuple[int, int]] = []
-    for (_, sid, hid, _, locks, e), k in applied:
+    for (_, sid, hid, _, e), k in applied:
         if e.produced:
             sink = parent[sid] if e.form is RuleForm.SEND_OUT else sid
             dst = contents[sink]
@@ -477,7 +470,7 @@ def _apply(state: _State, applied: Sequence[tuple[tuple, int]]) -> bool:
                         f"label {label!r} above {MAX_COUNT}")
                 total[sym] = count
                 dst[sym] = dst.get(sym, 0) + kn
-        if locks is not None:
+        if hid is not None:
             # EXO leaves the host for the host's parent.  Targets, like
             # send-out sinks, are read before any move below changes a parent.
             moves.append((sid, hid if e.form is RuleForm.ENDO else parent[hid]))
@@ -522,8 +515,8 @@ def _check_maximal(candidates: list[tuple], contents: dict[int, dict[str, int]],
     left; runs before the effects are applied, while *contents* still holds
     the pre-step counts."""
     leftover = 0
-    for _, _, _, source, locks, e in candidates:
-        if locks is not None and (locks[0] in locked or locks[1] in locked):
+    for _, sid, hid, source, e in candidates:
+        if hid is not None and (sid in locked or hid in locked):
             continue
         left = residual.get(source)
         if left is None:
@@ -593,7 +586,7 @@ def _steps(state: _State, rules: tuple[Rule, ...], options: EngineOptions,
             exc.step = index
             raise
         summary = tuple(AppliedRule(e.rule.id, sid, hid, k)
-                        for (_, sid, hid, _, _, e), k in applied)
+                        for (_, sid, hid, _, e), k in applied)
         yield TraceStep(index, summary, not applied, _totals(state))
         if not applied:
             return

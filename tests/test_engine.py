@@ -83,6 +83,9 @@ class TestEnumerate:
         assert enumerate_instances(cfg, rules) == []
         cfg2 = build_configuration(("skin", {"c": 3}, [("V", {"go": 1}, [])]))
         assert len(enumerate_instances(cfg2, rules)) == 1
+        # The promoter is present but the parent lacks the key symbol c.
+        cfg3 = build_configuration(("skin", {}, [("V", {"go": 1}, [])]))
+        assert enumerate_instances(cfg3, rules) == []
 
     def test_exo_out_of_root_is_inapplicable(self):
         cfg = build_configuration(("skin", {}, [("T", {"x": 1}, [])]))
@@ -139,7 +142,7 @@ class TestEnumerate:
             assert a.consumed is b.consumed and a.produced is b.produced
             assert a.promoter is b.promoter
 
-    def test_key_symbol_is_subject_side_unless_plain_send_in(self):
+    def test_key_symbol_is_in_the_membrane_the_rule_consumes_from(self):
         table = engine._Table((
             send_in("plain", "V", {"c": 1}, {}),
             send_in("gated", "V", {"c": 1}, {}, promoter={"go": 1}),
@@ -148,9 +151,22 @@ class TestEnumerate:
         ))
         [(label, own, via_parent)] = table.groups
         assert label == "V"
-        assert [(key, e.rule.id) for key, e in own] == [
-            ("go", "gated"), ("p13", "restart"), ("p0", "depart")]
-        assert [(key, e.rule.id) for key, e in via_parent] == [("c", "plain")]
+        assert [(key, e.rule.id) for key, e in own] == [("p13", "restart"), ("p0", "depart")]
+        assert [(key, e.rule.id) for key, e in via_parent] == [("c", "plain"), ("c", "gated")]
+
+
+class TestSelect:
+    def test_residual_holds_exactly_the_sources_consumed_from(self):
+        checked = 0
+        for seed, (config, rules) in enumerate(random_states()):
+            state = engine._State(config)
+            candidates = engine._enumerate(state, engine._compile(rules))
+            if not candidates:
+                continue
+            residual, _, counts = engine._select_maximal(state, candidates, SplitMix64(seed))
+            assert residual.keys() == {c[3] for c, k in zip(candidates, counts) if k}
+            checked += 1
+        assert checked > 400
 
 
 class TestJointApplicability:
