@@ -137,9 +137,6 @@ class Multiset(Mapping):
     def __contains__(self, sym: object) -> bool:
         return sym in self._counts
 
-    def __bool__(self) -> bool:
-        return bool(self._counts)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Multiset):
             return self._counts == other._counts
@@ -187,15 +184,12 @@ class RuleForm(Enum):
 
 _MOVE_FORMS = (RuleForm.ENDO, RuleForm.EXO)
 
-# Sets a field of a record: records refuse ``setattr`` once built.
-_set = object.__setattr__
-
 
 class _Record:
     """Base of the immutable record types.
 
     A subclass names its fields, in constructor order, in ``__slots__``
-    and stores them with ``object.__setattr__`` in its own ``__init__``.
+    and stores them with one :func:`_fill` call in its own ``__init__``.
     A record equals only a record of the same class with equal fields,
     hashes its fields, prints as ``Name(field=value, ...)``, copies and
     pickles by calling its class on its fields, and refuses assignment and
@@ -211,6 +205,8 @@ class _Record:
         # bare value.
         cls._values = staticmethod(get if len(cls.__slots__) > 1
                                    else lambda record: (get(record),))
+        # Each field's slot setter; getattr also finds an inherited slot.
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -233,6 +229,13 @@ class _Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _fill(record: _Record, *values: object) -> None:
+    """Store *values* as *record*'s fields, in ``__slots__`` order; a
+    wrong number of values raises ``ValueError``."""
+    for setter, value in zip(record._setters, values, strict=True):
+        setter(record, value)
 
 
 class Rule(_Record):
@@ -267,13 +270,7 @@ class Rule(_Record):
             raise ValueError(f"rule {id!r}: {form.value} does not take a host label")
         if promoter is not None:
             promoter = as_multiset(promoter) or None
-        _set(self, "id", id)
-        _set(self, "form", form)
-        _set(self, "subject", subject)
-        _set(self, "consumed", consumed)
-        _set(self, "produced", produced)
-        _set(self, "host", host)
-        _set(self, "promoter", promoter)
+        _fill(self, id, form, subject, consumed, produced, host, promoter)
 
     @property
     def moves_membrane(self) -> bool:
@@ -306,9 +303,7 @@ class RuleInstance(_Record):
     __slots__ = ("rule", "subject_id", "host_id")
 
     def __init__(self, rule: Rule, subject_id: int, host_id: int | None = None) -> None:
-        _set(self, "rule", rule)
-        _set(self, "subject_id", subject_id)
-        _set(self, "host_id", host_id)
+        _fill(self, rule, subject_id, host_id)
 
 
 class Membrane(_Record):
@@ -325,10 +320,7 @@ class Membrane(_Record):
                  children: tuple["Membrane", ...] = ()) -> None:
         _require_int("membrane id", id, 0)
         check_symbol(label)
-        _set(self, "id", id)
-        _set(self, "label", label)
-        _set(self, "contents", as_multiset(contents))
-        _set(self, "children", tuple(children))
+        _fill(self, id, label, as_multiset(contents), tuple(children))
 
 
 class InvalidConfigurationError(ValueError):
@@ -346,7 +338,7 @@ class Configuration(_Record):
         violations = structural_violations(skin)
         if violations:
             raise InvalidConfigurationError(violations)
-        _set(self, "skin", skin)
+        _fill(self, skin)
 
 
 def iter_membranes(root: Membrane) -> Iterator[Membrane]:

@@ -55,9 +55,9 @@ def model_hash(model: Model) -> str:
     return sha256(serialize_model(model).encode("utf-8")).hexdigest()
 
 
-# json.dumps with these arguments builds an encoder on every call; a run
-# encodes one state per step and every applied rule id, so the encoder is
-# built once.
+# One JSONEncoder serves the process, not one per json.dumps call.  Its
+# encode still builds a C encoder (via iterencode) for each dict, so every
+# step's state pays for one; a bare string such as a rule id does not.
 _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 

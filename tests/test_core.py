@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mmsim.core import (
+    EMPTY,
     KEYWORDS,
     MAX_COUNT,
     Configuration,
@@ -78,6 +79,8 @@ class TestMultiset:
         assert ms["zz"] == 0
         assert "zz" not in ms
         assert list(Multiset({"b": 1, "a": 2})) == ["a", "b"]
+        assert bool(EMPTY) is False
+        assert bool(Multiset({"a": 1})) is True
 
     def test_str_canonical(self):
         assert str(Multiset({"b": 1, "a": 2})) == "a*2, b"
