@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .core import MAX_COUNT, Rule, _Record, _fill, _require_int, build_configuration, rewrite
+from .core import MAX_COUNT, Rule, _Record, _require_int, _set, build_configuration, rewrite
 from .coupling import (CouplingSpec, _bag, _phase, carrier_cycle_length, cycle_end_step,
                        generate_carrier_protocol)
 from .engine import Trace, TraceStep
@@ -89,7 +89,12 @@ class BoneParams(_Record):
         for name, value in (("oc", oc), ("ob", ob), ("cycles", cycles)):
             _require_int(name, value, 0, MAX_COUNT)
         _require_int("units", units, 1)
-        _fill(self, capacity, density, oc, ob, cycles, units)
+        _set(self, "capacity", capacity)
+        _set(self, "density", density)
+        _set(self, "oc", oc)
+        _set(self, "ob", ob)
+        _set(self, "cycles", cycles)
+        _set(self, "units", units)
 
 
 def encode_density(density: float, capacity: int) -> int:

@@ -184,12 +184,17 @@ class RuleForm(Enum):
 
 _MOVE_FORMS = (RuleForm.ENDO, RuleForm.EXO)
 
+# Sets a field of a record: records refuse ``setattr`` once built.  Each
+# field gets its own call; a fill that loops over the slots is about twice
+# as slow per record, and the step paths build records on every step.
+_set = object.__setattr__
+
 
 class _Record:
     """Base of the immutable record types.
 
     A subclass names its fields, in constructor order, in ``__slots__``
-    and stores them with one :func:`_fill` call in its own ``__init__``.
+    and stores them with ``object.__setattr__`` in its own ``__init__``.
     A record equals only a record of the same class with equal fields,
     hashes its fields, prints as ``Name(field=value, ...)``, copies and
     pickles by calling its class on its fields, and refuses assignment and
@@ -205,8 +210,6 @@ class _Record:
         # bare value.
         cls._values = staticmethod(get if len(cls.__slots__) > 1
                                    else lambda record: (get(record),))
-        # Each field's slot setter; getattr also finds an inherited slot.
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -229,13 +232,6 @@ class _Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-def _fill(record: _Record, *values: object) -> None:
-    """Store *values* as *record*'s fields, in ``__slots__`` order; a
-    wrong number of values raises ``ValueError``."""
-    for setter, value in zip(record._setters, values, strict=True):
-        setter(record, value)
 
 
 class Rule(_Record):
@@ -270,7 +266,13 @@ class Rule(_Record):
             raise ValueError(f"rule {id!r}: {form.value} does not take a host label")
         if promoter is not None:
             promoter = as_multiset(promoter) or None
-        _fill(self, id, form, subject, consumed, produced, host, promoter)
+        _set(self, "id", id)
+        _set(self, "form", form)
+        _set(self, "subject", subject)
+        _set(self, "consumed", consumed)
+        _set(self, "produced", produced)
+        _set(self, "host", host)
+        _set(self, "promoter", promoter)
 
     @property
     def moves_membrane(self) -> bool:
@@ -303,7 +305,9 @@ class RuleInstance(_Record):
     __slots__ = ("rule", "subject_id", "host_id")
 
     def __init__(self, rule: Rule, subject_id: int, host_id: int | None = None) -> None:
-        _fill(self, rule, subject_id, host_id)
+        _set(self, "rule", rule)
+        _set(self, "subject_id", subject_id)
+        _set(self, "host_id", host_id)
 
 
 class Membrane(_Record):
@@ -320,7 +324,10 @@ class Membrane(_Record):
                  children: tuple["Membrane", ...] = ()) -> None:
         _require_int("membrane id", id, 0)
         check_symbol(label)
-        _fill(self, id, label, as_multiset(contents), tuple(children))
+        _set(self, "id", id)
+        _set(self, "label", label)
+        _set(self, "contents", as_multiset(contents))
+        _set(self, "children", tuple(children))
 
 
 class InvalidConfigurationError(ValueError):
@@ -338,7 +345,7 @@ class Configuration(_Record):
         violations = structural_violations(skin)
         if violations:
             raise InvalidConfigurationError(violations)
-        _fill(self, skin)
+        _set(self, "skin", skin)
 
 
 def iter_membranes(root: Membrane) -> Iterator[Membrane]:

@@ -49,7 +49,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterable
 
-from .core import (Multiset, Rule, RuleForm, _Record, _fill, _require_int, check_symbol, endo,
+from .core import (Multiset, Rule, RuleForm, _Record, _require_int, _set, check_symbol, endo,
                    exo, rewrite, send_in, send_out)
 
 __all__ = ["CouplingSpec", "generate_carrier_protocol", "carrier_cycle_length", "cycle_end_step"]
@@ -80,8 +80,12 @@ class CouplingSpec(_Record):
     def __init__(self, macro_label: str = "T", micro_label: str = "BMU",
                  coupling_label: str = "CU", carrier_label: str = "V",
                  payload_symbol: str = "c", cycle_symbol: str = "cyc") -> None:
-        _fill(self, macro_label, micro_label, coupling_label, carrier_label, payload_symbol,
-              cycle_symbol)
+        _set(self, "macro_label", macro_label)
+        _set(self, "micro_label", micro_label)
+        _set(self, "coupling_label", coupling_label)
+        _set(self, "carrier_label", carrier_label)
+        _set(self, "payload_symbol", payload_symbol)
+        _set(self, "cycle_symbol", cycle_symbol)
         labels = (self.macro_label, self.micro_label, self.coupling_label, self.carrier_label)
         user_symbols = labels + (self.payload_symbol, self.cycle_symbol)
         for name in user_symbols:

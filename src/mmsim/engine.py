@@ -67,8 +67,8 @@ from .core import (
     MAX_COUNT,
     MAX_DEPTH,
     MAX_INSTANCES,
-    _fill,
     _require_int,
+    _set,
     _wrap,
     _Record,
     Configuration,
@@ -132,7 +132,7 @@ class EngineOptions(_Record):
         _require_int("seed", seed)
         if not 0 <= seed < (1 << 64):
             raise ValueError("seed must be an unsigned 64-bit integer")
-        _fill(self, seed)
+        _set(self, "seed", seed)
 
 
 class StepResult(_Record):
@@ -143,12 +143,9 @@ class StepResult(_Record):
 
     def __init__(self, config: Configuration, applied: tuple[tuple[RuleInstance, int], ...],
                  halted: bool) -> None:
-        _fill(self, config, applied, halted)
-
-
-# AppliedRule and TraceStep are built once per applied instance and once
-# per step, where a direct set per field is faster than _fill's loop.
-_set = object.__setattr__
+        _set(self, "config", config)
+        _set(self, "applied", applied)
+        _set(self, "halted", halted)
 
 
 class AppliedRule(_Record):
@@ -184,7 +181,10 @@ class Trace(_Record):
 
     def __init__(self, seed: int, rng: str, steps: tuple[TraceStep, ...],
                  final: Configuration) -> None:
-        _fill(self, seed, rng, steps, final)
+        _set(self, "seed", seed)
+        _set(self, "rng", rng)
+        _set(self, "steps", steps)
+        _set(self, "final", final)
 
     @property
     def halted(self) -> bool:

@@ -46,7 +46,7 @@ from .core import (
     Rule,
     RuleForm,
     _Record,
-    _fill,
+    _set,
     _wrap,
     build_configuration,
     iter_membranes,
@@ -88,7 +88,8 @@ class Model(_Record):
             if rule.id in seen:
                 raise ValueError(f"duplicate rule id {rule.id!r}")
             seen.add(rule.id)
-        _fill(self, config, rules)
+        _set(self, "config", config)
+        _set(self, "rules", rules)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,7 @@ import pickle
 import pytest
 
 from mmsim.bone import BoneParams
-from mmsim.core import (EMPTY, Configuration, Membrane, Multiset, Rule, RuleForm, RuleInstance,
-                        _fill, _Record)
+from mmsim.core import EMPTY, Configuration, Membrane, Multiset, Rule, RuleForm, RuleInstance
 from mmsim.coupling import CouplingSpec
 from mmsim.engine import AppliedRule, EngineOptions, StepResult, Trace, TraceStep
 from mmsim.parser import Model
@@ -114,25 +113,3 @@ def test_record_value_semantics(cls, fields, required, defaults, hashable, text)
 
     assert copy.copy(value) == value
     assert pickle.loads(pickle.dumps(value)) == value
-
-
-class Params(BoneParams):
-    """A subclass that inherits its fields' slots from its base."""
-
-
-def test_subclass_inheriting_slots_is_a_record():
-    value = Params(10, 0.25, 1, 2, 3, 4)
-    assert value == Params(10, 0.25, 1, 2, 3, 4) and value != BoneParams(10, 0.25, 1, 2, 3, 4)
-    assert repr(value) == "Params(capacity=10, density=0.25, oc=1, ob=2, cycles=3, units=4)"
-    assert pickle.loads(pickle.dumps(value)) == value
-
-
-def test_fill_with_a_value_missing_fails_at_construction():
-    class Pair(_Record):
-        __slots__ = ("left", "right")
-
-        def __init__(self, left: int, right: int) -> None:
-            _fill(self, left)
-
-    with pytest.raises(ValueError):
-        Pair(1, 2)
