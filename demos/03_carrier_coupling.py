@@ -6,9 +6,8 @@ Run with:  python3 demos/03_carrier_coupling.py
 from mmsim import (
     CouplingSpec,
     EngineOptions,
-    Model,
-    build_configuration,
     carrier_cycle_length,
+    couple,
     cycle_end_step,
     generate_carrier_protocol,
     render_tree,
@@ -28,15 +27,10 @@ for rule in rules:
     print(" ", rule_text(rule))
 print()
 
-# Compose a minimal unit by hand: a tissue patch with 4 payload tokens and
-# an empty micro membrane.  No micro rules here, so delivery is a no-op
-# and everything comes back unchanged.
-config = build_configuration(
-    ("skin", {}, [
-        ("T", {"c": 4}, []),
-        ("CU", {}, [("BMU", {}, []), ("V", {"p0": 1, "cyc": 1}, [])]),
-    ]))
-model = Model(config, rules)
+# Compose a minimal unit: a tissue patch with 4 payload tokens, an empty
+# micro membrane, and a carrier with one cycle token.  No micro rules here,
+# so delivery is a no-op and everything comes back unchanged.
+model = couple([(spec, micro, 4, None)], cycles=1)
 
 print("phase walk of one round trip (4 payload tokens, no micro dynamics):")
 trace = run(model, EngineOptions(seed=0), max_steps=50)

@@ -36,9 +36,8 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .core import MAX_COUNT, Rule, _Record, _require_int, _set, build_configuration, rewrite
-from .coupling import (CouplingSpec, _bag, _phase, carrier_cycle_length, cycle_end_step,
-                       generate_carrier_protocol)
+from .core import MAX_COUNT, Rule, _Record, _require_int, _set, rewrite
+from .coupling import CouplingSpec, _bag, carrier_cycle_length, couple, cycle_end_step
 from .engine import Trace, TraceStep
 from .parser import Model
 
@@ -138,20 +137,8 @@ def build_bone_model(params: BoneParams) -> Model:
     """
     tokens = encode_density(params.density, params.capacity)
     bmu_stock = {sym: n for sym, n in ((OSTEOCLAST, params.oc), (OSTEOBLAST, params.ob)) if n}
-    skin_children: list[tuple] = []
-    rules: list[Rule] = []
-    for unit in range(1, params.units + 1):
-        spec = unit_spec(unit)
-        carrier_start = dict(_phase(0))
-        if params.cycles:
-            carrier_start[spec.cycle_symbol] = params.cycles
-        tissue = (spec.macro_label, {spec.payload_symbol: tokens} if tokens else None, ())
-        bmu = (spec.micro_label, bmu_stock, ())
-        carrier = (spec.carrier_label, carrier_start, ())
-        skin_children += [tissue, (spec.coupling_label, None, (bmu, carrier))]
-        micro = micro_rules(spec)
-        rules += generate_carrier_protocol(spec, micro) + micro
-    return Model(build_configuration(("skin", None, skin_children)), tuple(rules))
+    specs = map(unit_spec, range(1, params.units + 1))
+    return couple([(spec, micro_rules(spec), tokens, bmu_stock) for spec in specs], params.cycles)
 
 
 class DensitySampler:

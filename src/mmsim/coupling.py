@@ -47,12 +47,14 @@ micro membrane is quiescent at pickup.  Cyclic micro rules are rejected.
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
-from .core import (Multiset, Rule, RuleForm, _Record, _require_int, _set, check_symbol, endo,
-                   exo, rewrite, send_in, send_out)
+from .core import (Multiset, Rule, RuleForm, _Record, _require_int, _set, build_configuration,
+                   check_symbol, endo, exo, rewrite, send_in, send_out)
+from .parser import Model
 
-__all__ = ["CouplingSpec", "generate_carrier_protocol", "carrier_cycle_length", "cycle_end_step"]
+__all__ = ["CouplingSpec", "generate_carrier_protocol", "couple", "carrier_cycle_length",
+           "cycle_end_step"]
 
 
 @cache  # multisets are immutable, so every unit shares each distinct rule side
@@ -71,7 +73,7 @@ class CouplingSpec(_Record):
     User-chosen names must stay outside the reserved namespace: generated
     cargo symbols start with an underscore and phase tokens are ``p`` and
     digits, as many as the micro rules need, so user names may not start
-    with ``_``, look like a phase token, or collide with a cargo symbol.
+    with ``_`` (which covers every cargo symbol) or look like a phase token.
     """
 
     __slots__ = ("macro_label", "micro_label", "coupling_label", "carrier_label",
@@ -97,8 +99,7 @@ class CouplingSpec(_Record):
             raise ValueError(f"membrane labels must be pairwise distinct, got {labels}")
         if self.payload_symbol == self.cycle_symbol:
             raise ValueError("payload and cycle symbols must differ")
-        clash = {name for name in user_symbols if name in self.cargo_symbols
-                 or name[0] == "p" and name[1:].isdigit()}
+        clash = {name for name in user_symbols if name[0] == "p" and name[1:].isdigit()}
         if clash:
             raise ValueError(f"user names collide with generated symbols: {sorted(clash)}")
 
@@ -193,6 +194,24 @@ def generate_carrier_protocol(spec: CouplingSpec, micro: Iterable[Rule]) -> tupl
         following = _phase(index + 1 if index < last else drain)
         rules.append(make(spec.rule_id(name), V, *host, paid, following))
     return tuple(rules)
+
+
+def couple(units: Iterable[tuple[CouplingSpec, Sequence[Rule], int, Mapping[str, int] | None]],
+           cycles: int) -> Model:
+    """One model of *units*, each ``(spec, micro rules, payload tokens, micro
+    stock)``.  Each macro membrane holds its payload beside its coupling
+    membrane, which holds the micro membrane with its stock and the carrier,
+    parked in the first phase with *cycles* cycle tokens.  The rules are,
+    unit by unit, the carrier protocol and then the micro rules."""
+    skin: list[tuple] = []
+    rules: list[Rule] = []
+    for spec, micro, payload, stock in units:
+        carrier = {**_phase(0), spec.cycle_symbol: cycles} if cycles else _phase(0)
+        skin += [(spec.macro_label, {spec.payload_symbol: payload} if payload else None, ()),
+                 (spec.coupling_label, None,
+                  ((spec.micro_label, stock, ()), (spec.carrier_label, carrier, ())))]
+        rules += generate_carrier_protocol(spec, micro) + tuple(micro)
+    return Model(build_configuration(("skin", None, skin)), tuple(rules))
 
 
 def carrier_cycle_length(micro: Iterable[Rule] = ()) -> int:

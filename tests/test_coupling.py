@@ -5,16 +5,16 @@ from __future__ import annotations
 import pytest
 
 from mmsim.bone import BoneParams, build_bone_model, micro_rules, unit_spec
-from mmsim.core import build_configuration, rewrite, send_out
+from mmsim.core import rewrite, send_out
 from mmsim.coupling import (
     CouplingSpec,
     carrier_cycle_length,
+    couple,
     cycle_end_step,
     generate_carrier_protocol,
 )
 from mmsim.engine import EngineOptions, Trace, run, step
 from mmsim.oracle import canonical_form, oracle_successors
-from mmsim.parser import Model
 from mmsim.rng import SplitMix64
 
 from conftest import MICRO_STOCK, random_micro_rules
@@ -36,9 +36,10 @@ class TestSpec:
         rules = {r.id: r for r in generate_carrier_protocol(spec, BONE_MICRO)}
         assert rules["V_depart"].consumed["p0"] == 1 and rules["V_restart"].consumed["p13"] == 1
 
-    def test_reserved_prefix_collision(self):
-        with pytest.raises(ValueError):
-            CouplingSpec(payload_symbol="_c")
+    @pytest.mark.parametrize("name", ["_c", "_cl", "_cb"])
+    def test_reserved_prefix_collision(self, name):
+        with pytest.raises(ValueError, match="reserved '_' prefix"):
+            CouplingSpec(payload_symbol=name)
 
     def test_generated_name_collision(self):
         for name in ("p3", "p14", "p20"):
@@ -182,15 +183,26 @@ class TestComposition:
         assert trace.halted
         assert trace.steps[-1].state["V1"] == {"p13": 1}
 
-
-def unit_model(spec: CouplingSpec, micro, tissue: dict, stock: dict, cycles: int) -> Model:
-    """One carrier unit, composed by hand around the micro rules *micro*."""
-    carrier = (spec.carrier_label, {"p0": 1, spec.cycle_symbol: cycles}, ())
-    config = build_configuration(("skin", None, [
-        (spec.macro_label, tissue, ()),
-        (spec.coupling_label, None, ((spec.micro_label, stock, ()), carrier)),
-    ]))
-    return Model(config, generate_carrier_protocol(spec, micro) + tuple(micro))
+    def test_units_with_different_schedules_match_their_solo_runs(self):
+        # A 12-step and a 13-step cycle: the units drift apart, and each
+        # still runs as it would alone, then rests once its solo run halts.
+        units = [(unit_spec(1), micro_rules(unit_spec(1)), 10, {"_oc": 3, "_ob": 1}),
+                 (unit_spec(2), two_stage_formation(unit_spec(2)), 10, {"_oc": 2, "_ob": 3})]
+        composed = run(couple(units, 3), EngineOptions(seed=4), max_steps=200)
+        solos = [run(couple([unit], 3), EngineOptions(seed=7), max_steps=200) for unit in units]
+        assert [len(solo.steps) for solo in solos] == [
+            cycle_end_step(3, micro) + 2 for _, micro, _, _ in units] == [39, 42]
+        assert composed.halted and len(composed.steps) == 42
+        for (spec, *_), solo in zip(units, solos):
+            labels = {spec.macro_label, spec.micro_label, spec.coupling_label, spec.carrier_label}
+            own = (f"{spec.carrier_label}_", f"{spec.micro_label}_")
+            for index, theirs in enumerate(composed.steps):
+                mine = solo.steps[min(index, len(solo.steps) - 1)]
+                assert {k: v for k, v in theirs.state.items() if k in labels} == {
+                    k: v for k, v in mine.state.items() if k != "skin"}, (spec, index)
+                assert sorted((a.rule, a.count) for a in theirs.applied
+                              if a.rule.startswith(own)) == sorted(
+                    (a.rule, a.count) for a in mine.applied), (spec, index)
 
 
 def two_stage_formation(spec: CouplingSpec) -> tuple:
@@ -218,7 +230,7 @@ class TestMicroLevels:
         spec = CouplingSpec()
         micro = (rewrite("BMU_x", "BMU", {"_oc": 1, "_cb": 1}, {"_f": 1}),
                  rewrite("x", "BMU", {"_ob": 1, "_f": 1}, {"_cn": 1}))
-        model = unit_model(spec, micro, {"c": 2}, {"_oc": 1, "_ob": 1}, cycles=1)
+        model = couple([(spec, micro, 2, {"_oc": 1, "_ob": 1})], cycles=1)
         waits = [r.id for r in model.rules if "_wait_" in r.id]
         assert waits == ["V_wait_BMU_x", "V_wait_x"]
 
@@ -234,7 +246,7 @@ class TestMicroLevels:
     def test_two_stage_formation_comes_back_whole(self):
         spec = unit_spec(1)
         micro = two_stage_formation(spec)
-        model = unit_model(spec, micro, {"c": 10}, {"_oc": 3, "_ob": 3}, cycles=1)
+        model = couple([(spec, micro, 10, {"_oc": 3, "_ob": 3})], cycles=1)
         trace = run(model, EngineOptions(seed=0), max_steps=100)
         assert trace.halted and len(trace.steps) == cycle_end_step(1, micro) + 2 == 16
         final = trace.steps[-1].state
@@ -273,7 +285,7 @@ class TestMicroLevels:
         assert carrier_cycle_length(micro) == 10 + levels
         rng = SplitMix64(seed)
         stock = {sym: 1 + rng.below(3) for sym in MICRO_STOCK}
-        model = unit_model(spec, micro, {"c": 1 + rng.below(4)}, stock, cycles=2)
+        model = couple([(spec, micro, 1 + rng.below(4), stock)], cycles=2)
         config, pickups = model.config, 0
         for _ in range(100):
             result = step(config, model.rules, rng)

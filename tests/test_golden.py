@@ -1,6 +1,7 @@
 """Traces pinned across commits: SHA-256 digests of ``dump_trace`` output,
 and of the trace files the command line writes while the run goes on.  The
-bone study's density CSV and ``density_series`` rows are pinned the same way.
+bone study's density CSV, ``density_series`` rows and each demo's stdout are
+pinned the same way.
 
 A change to the engine, the generator, the trace format or the density
 sampler that alters any of these outputs must say why, and update the
@@ -9,7 +10,10 @@ digests with it.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import runpy
 from pathlib import Path
 
 import pytest
@@ -143,3 +147,22 @@ def test_density_series_of_a_cut_run(max_steps, rows):
     trace = run(build_bone_model(params), EngineOptions(seed=0), max_steps=max_steps)
     assert len(trace.steps) == max_steps
     assert [density_series(trace, unit, params.capacity) for unit in (1, 2)] == [rows, rows]
+
+
+DEMOS = Path(__file__).parent.parent / "demos"
+
+# ``python3 demos/<name>`` stdout.
+DEMO_DIGESTS = {
+    "01_membranes_and_rules.py": "93c0e465e6532b2e265016079e1e69872d6c41627e82f6bf0132d258d09d48fc",
+    "02_maximal_steps.py": "d44a27d69d97d73660574231c637f42b1e8501de66bb0c9288f3d75d06b41ccb",
+    "03_carrier_coupling.py": "9637da00d0d31edc95117966c8d92fbb37596e42977407b1c34335b9804fd713",
+    "04_bone_remodelling.py": "ded514044a24ae9348de596d122bec3e83e734d1db9515491abdd6b3168bff7d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in DEMOS.glob("*.py")))
+def test_demo_stdout_digest(name):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(DEMOS / name), run_name="__main__")
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == DEMO_DIGESTS[name]
