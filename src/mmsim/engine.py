@@ -45,7 +45,17 @@ source membrane, rule entry), with the residual counts and the locked
 membranes in a plain dict and set; there is no selection object and no
 call per candidate.  A candidate with a host is an endo/exo move, and its
 subject and host are the membranes the mover-lock takes.  Selection
-copies a membrane's counts only when an instance first consumes from it.
+copies a membrane's counts only when an instance first consumes from it,
+and its seeded shuffle mixes the generator's draws in blocks
+(:meth:`SplitMix64.shuffle`).  The step compares rule forms against
+module constants: on Python 3.11 a ``RuleForm.X`` read goes through the
+enum metaclass's ``__getattr__``, about 15 times the cost of a global.
+
+A run's :class:`AppliedRule` records are shared: each distinct (rule,
+subject, host, multiplicity) gets one, so an entry of ``TraceStep.applied``
+may be the same object as one of an earlier step.  The cache starts over
+when a step begins with more than 4096 records in it, which keeps it under
+1 MB.
 
 If no instance is applicable the step reports ``halted`` and leaves the
 state unchanged.  Otherwise it rescans its candidates for maximality; and as
@@ -99,6 +109,11 @@ __all__ = [
     "run",
     "label_totals",
 ]
+
+# The forms as module constants, in definition order: on Python 3.11 each
+# ``RuleForm.X`` read goes through the enum metaclass's ``__getattr__`` and
+# costs about 15 global reads.
+_REWRITE, _ENDO, _EXO, _SEND_IN, _SEND_OUT = RuleForm
 
 
 class EngineError(RuntimeError):
@@ -236,7 +251,7 @@ class _Table:
             for e in entries:
                 # Keyed in the membrane the rule consumes from.
                 symbols = [sym for sym, _ in e.consumed]
-                if e.form is RuleForm.SEND_IN:
+                if e.form is _SEND_IN:
                     via_parent.append((min(symbols, key=rarity), e))
                 else:
                     symbols += [sym for sym, _ in e.promoter or ()]
@@ -336,15 +351,15 @@ def _enumerate(state: _State, table: _Table) -> list[tuple]:
                         or not _fits(here, e.consumed)):
                     continue
                 form = e.form
-                if form is RuleForm.REWRITE:
+                if form is _REWRITE:
                     out.append((e.index, sid, None, sid, e))
                 elif pid is None:
                     continue
-                elif form is RuleForm.ENDO:
+                elif form is _ENDO:
                     for hid in state.children[pid]:
                         if hid != sid and labels[hid] == e.host:
                             out.append((e.index, sid, hid, sid, e))
-                elif form is RuleForm.EXO:
+                elif form is _EXO:
                     # The subject leaves its parent and becomes the parent's
                     # sibling; the root has no siblings, so exo out of the
                     # skin is never applicable.
@@ -455,7 +470,7 @@ def _apply(state: _State, applied: Sequence[tuple[tuple, int]]) -> bool:
     moves: list[tuple[int, int]] = []
     for (_, sid, hid, _, e), k in applied:
         if e.produced:
-            sink = parent[sid] if e.form is RuleForm.SEND_OUT else sid
+            sink = parent[sid] if e.form is _SEND_OUT else sid
             dst = contents[sink]
             label = labels[sink]
             total = totals[label]
@@ -473,7 +488,7 @@ def _apply(state: _State, applied: Sequence[tuple[tuple, int]]) -> bool:
         if hid is not None:
             # EXO leaves the host for the host's parent.  Targets, like
             # send-out sinks, are read before any move below changes a parent.
-            moves.append((sid, hid if e.form is RuleForm.ENDO else parent[hid]))
+            moves.append((sid, hid if e.form is _ENDO else parent[hid]))
 
     for child, new_parent in moves:
         children[parent[child]].remove(child)
@@ -574,20 +589,34 @@ def label_totals(config: Configuration) -> dict[str, dict[str, int]]:
     return _totals(_State(config))
 
 
+# A run shares one AppliedRule per (rule index, subject, host, count) from
+# a cache that starts over once a step begins with more than this many, so
+# a run's memory still does not grow with its steps.
+_SHARED_RECORDS = 4096
+
+
 def _steps(state: _State, rules: tuple[Rule, ...], options: EngineOptions,
            max_steps: int) -> Iterator[TraceStep]:
     """The run's step loop: steps *state* in place and yields each step."""
     table = _compile(rules)
     rng = SplitMix64(options.seed)
+    shared: dict[tuple, AppliedRule] = {}
     for index in range(max_steps):
         try:
             applied = _step(state, table, rng)
         except EngineError as exc:
             exc.step = index
             raise
-        summary = tuple(AppliedRule(e.rule.id, sid, hid, k)
-                        for (_, sid, hid, _, e), k in applied)
-        yield TraceStep(index, summary, not applied, _totals(state))
+        if len(shared) > _SHARED_RECORDS:
+            shared.clear()
+        summary = []
+        for (i, sid, hid, _, e), k in applied:
+            key = i, sid, hid, k
+            record = shared.get(key)
+            if record is None:
+                record = shared[key] = AppliedRule(e.rule.id, sid, hid, k)
+            summary.append(record)
+        yield TraceStep(index, tuple(summary), not applied, _totals(state))
         if not applied:
             return
 

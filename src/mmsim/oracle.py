@@ -21,6 +21,10 @@ __all__ = ["OracleBoundExceeded", "canonical_form", "oracle_successors"]
 
 Canon = tuple  # (label, ((sym, count), ...), (child canon, ...))
 
+# The forms as module constants, in definition order: on Python 3.11 each
+# ``RuleForm.X`` read goes through the enum metaclass's ``__getattr__``.
+_REWRITE, _ENDO, _EXO, _SEND_IN, _SEND_OUT = RuleForm
+
 
 class OracleBoundExceeded(ValueError):
     pass
@@ -69,7 +73,7 @@ class _Binding:
         self.source = source  # membrane the consumption is charged to
         self.sink = sink      # membrane the production lands in
         self.needs = dict(rule.consumed.items())
-        self.moves = rule.form in (RuleForm.ENDO, RuleForm.EXO)
+        self.moves = rule.form in (_ENDO, _EXO)
         self.locks = frozenset((subject, host)) if self.moves else frozenset()
 
 
@@ -84,20 +88,21 @@ def _bindings(net: _Net, rules) -> list[_Binding]:
                     contents.get(s, 0) < n for s, n in rule.promoter.items()):
                 continue
             parent = net.parent[mid]
+            form = rule.form
             fits_self = all(contents.get(s, 0) >= n for s, n in rule.consumed.items())
-            if rule.form is RuleForm.REWRITE and fits_self:
+            if form is _REWRITE and fits_self:
                 out.append(_Binding(rule, mid, None, mid, mid))
-            elif rule.form is RuleForm.ENDO and parent is not None and fits_self:
+            elif form is _ENDO and parent is not None and fits_self:
                 for sib in net.children[parent]:
                     if sib != mid and net.labels[sib] == rule.host:
                         out.append(_Binding(rule, mid, sib, mid, mid))
-            elif rule.form is RuleForm.EXO and parent is not None and fits_self:
+            elif form is _EXO and parent is not None and fits_self:
                 if net.labels[parent] == rule.host and net.parent[parent] is not None:
                     out.append(_Binding(rule, mid, parent, mid, mid))
-            elif rule.form is RuleForm.SEND_IN and parent is not None:
+            elif form is _SEND_IN and parent is not None:
                 if all(net.contents[parent].get(s, 0) >= n for s, n in rule.consumed.items()):
                     out.append(_Binding(rule, mid, None, parent, mid))
-            elif rule.form is RuleForm.SEND_OUT and parent is not None and fits_self:
+            elif form is _SEND_OUT and parent is not None and fits_self:
                 out.append(_Binding(rule, mid, None, mid, parent))
     return out
 
@@ -128,7 +133,7 @@ def _successor(net: _Net, counts: list[int], bindings: list[_Binding]) -> Canon:
     for b, k in zip(bindings, counts):
         if k == 0 or not b.moves:
             continue
-        target = b.host if b.rule.form is RuleForm.ENDO else net.parent[b.host]
+        target = b.host if b.rule.form is _ENDO else net.parent[b.host]
         children[parent[b.subject]].remove(b.subject)
         children[target].append(b.subject)
         parent[b.subject] = target

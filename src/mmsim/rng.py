@@ -12,6 +12,9 @@ a generator mismatch instead of silently diverging.
 
 from __future__ import annotations
 
+import sys
+from array import array
+
 from .core import _require_int
 
 __all__ = ["RNG_ALGORITHM", "MASK64", "SplitMix64"]
@@ -24,6 +27,22 @@ _TWO64 = 1 << 64
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+# The shuffle mixes _BLOCK draws at once, each in its own 128-bit lane of
+# one int: a lane's low 64 bits hold the draw, and its high 64 bits hold
+# the product of a multiply before the lane is masked back to 64 bits.
+# Lane k starts from the state plus (k + 1) golden steps.
+_BLOCK = 32
+_ONES = sum(1 << (128 * k) for k in range(_BLOCK))
+_STEPS = sum((((k + 1) * _GOLDEN) & MASK64) << (128 * k) for k in range(_BLOCK))
+_LANES = MASK64 * _ONES
+_ADVANCE = (_BLOCK * _GOLDEN) & MASK64
+# A block is written out little-endian and read back as 64-bit words, so
+# each lane is its draw's word then a zero word; a big-endian machine swaps
+# the bytes of each word after reading.
+if array("Q").itemsize != 8:
+    raise ImportError("mmsim.rng needs 8-byte array('Q') items")
+_SWAP = sys.byteorder == "big"
 
 
 class SplitMix64:
@@ -54,21 +73,42 @@ class SplitMix64:
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle, high index down.
 
-        Draws exactly what ``below(i + 1)`` would for each ``i``, with the
-        generator inlined.  ``2**64 % bound < bound``, so a draw below
-        ``2**64 - bound`` is below the rejection threshold and is accepted
-        without computing it.
+        Draws exactly what ``below(n)`` would for each bound ``n`` from
+        ``len(items)`` down to 2, with the generator inlined.  ``2**64 %
+        n < n``, so a draw below ``2**64 - n`` is below the rejection
+        threshold and is accepted without computing it.  The draws are
+        mixed ``_BLOCK`` at a time, in the lanes of one int; a block whose
+        largest draw is not below ``2**64 - n`` for its largest bound, and
+        the last bounds that fill no block, go through the one-draw loop
+        from that block's state, so the stream and its rejections are the
+        ones ``below`` makes.
         """
         state = self._state
-        for i in range(len(items) - 1, 0, -1):
-            bound = i + 1
+        n = len(items)
+        while n > _BLOCK:
+            z = (state * _ONES + _STEPS) & _LANES
+            z = (((z ^ (z >> 30)) & _LANES) * _MIX1) & _LANES
+            z = (((z ^ (z >> 27)) & _LANES) * _MIX2) & _LANES
+            words = array("Q", (z ^ (z >> 31)).to_bytes(16 * _BLOCK, "little"))
+            if _SWAP:
+                words.byteswap()
+            draws = words[::2]
+            if max(draws) >= _TWO64 - n:
+                break
+            for z in draws:
+                j = z % n
+                n -= 1
+                items[n], items[j] = items[j], items[n]
+            state = (state + _ADVANCE) & MASK64
+        while n > 1:
             while True:
                 state = (state + _GOLDEN) & MASK64
                 z = ((state ^ (state >> 30)) * _MIX1) & MASK64
                 z = ((z ^ (z >> 27)) * _MIX2) & MASK64
                 z ^= z >> 31
-                if z < _TWO64 - bound or z < _TWO64 - _TWO64 % bound:
+                if z < _TWO64 - n or z < _TWO64 - _TWO64 % n:
                     break
-            j = z % bound
-            items[i], items[j] = items[j], items[i]
+            j = z % n
+            n -= 1
+            items[n], items[j] = items[j], items[n]
         self._state = state

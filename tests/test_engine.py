@@ -527,6 +527,28 @@ class TestRun:
         line = list(trace_lines(0, RNG_ALGORITHM, "", [second]))[1]
         assert json.loads(line)["state"]["V"] == {"x": 1}
 
+    def test_shared_records_start_over_past_the_ceiling(self, monkeypatch, corpus_valid):
+        models = [build_bone_model(BoneParams(units=3, cycles=4, oc=3, ob=1))]
+        models += [parse_model(path.read_bytes()) for path in corpus_valid]
+        options = EngineOptions(seed=3)
+        expected = [run(model, options, 200).steps for model in models]
+        records = [a for made in expected[0] for a in made.applied]
+        assert len({id(a) for a in records}) < len(records)  # shared between steps
+        monkeypatch.setattr(engine, "_SHARED_RECORDS", 8)
+        cleared = False
+        for model, reference in zip(models, expected):
+            steps = iter_steps(model, options, 200)
+            kept, held = [], 0
+            for made in steps:
+                shared = steps.gi_frame.f_locals["shared"]
+                assert len(shared) <= 8 + len(made.applied)
+                cleared |= len(shared) < held
+                held = len(shared)
+                kept.append(made)
+            assert (list(trace_lines(3, RNG_ALGORITHM, "", kept))
+                    == list(trace_lines(3, RNG_ALGORITHM, "", reference)))
+        assert cleared
+
     def test_seeds_can_pick_different_maximal_sets(self):
         model = parse_model(
             "[skin: a] rule r1: in skin: a -> b rule r2: in skin: a -> c")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from mmsim.rng import _GOLDEN, _MIX1, _MIX2, MASK64, SplitMix64
+from mmsim.rng import _BLOCK, _GOLDEN, _MIX1, _MIX2, MASK64, SplitMix64
 
 # Reference outputs of splitmix64 (Vigna's public-domain C implementation).
 VECTORS = {
@@ -78,6 +78,12 @@ def test_shuffle_equals_below_fisher_yates():
             assert_shuffle_matches_reference(seed, length)
 
 
+@pytest.mark.parametrize("length", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1])
+def test_shuffle_equals_below_fisher_yates_at_block_edges(length):
+    for seed in range(1000):
+        assert_shuffle_matches_reference(seed, length)
+
+
 def unshift(y: int, shift: int) -> int:
     """Inverse of ``x ^ (x >> shift)`` on 64 bits."""
     x = y
@@ -107,3 +113,23 @@ def test_shuffle_equals_below_fisher_yates_at_the_threshold(first, draws):
         skipped.next_u64()
     assert rng.next_u64() == skipped.next_u64()
     assert_shuffle_matches_reference(seed, 3)
+
+
+# In a 100-item shuffle, draw k is made for bound 100 - k: in a block of
+# draws for k < 96, and in the one-draw tail after it.  MASK64 is rejected
+# for a bound that is not a power of two, and the largest draw below the
+# threshold is accepted; either sends its block through the one-draw loop.
+@pytest.mark.parametrize("k", [0, 1, 17, 31, 32, 63, 64, 95, 97])
+@pytest.mark.parametrize("rejected", [True, False], ids=["rejected", "accepted-at-threshold"])
+def test_shuffle_equals_below_fisher_yates_at_the_threshold_in_a_block(k, rejected):
+    assert _BLOCK == 32  # k covers each block's first and last draw, and the tail
+    bound = 100 - k
+    assert (1 << 64) % bound  # not a power of two: MASK64 is rejected
+    threshold = (1 << 64) - (1 << 64) % bound
+    z = MASK64 if rejected else threshold - 1
+    seed = (seed_with_first_output(z) - k * _GOLDEN) & MASK64
+    rng = SplitMix64(seed)
+    for _ in range(k):
+        assert rng.next_u64() < (1 << 64) - 100  # no earlier draw is near the threshold
+    assert rng.next_u64() == z
+    assert_shuffle_matches_reference(seed, 100)
