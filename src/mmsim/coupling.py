@@ -49,8 +49,8 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterable, Mapping, Sequence
 
-from .core import (Multiset, Rule, RuleForm, _Record, _require_int, _set, build_configuration,
-                   check_symbol, endo, exo, rewrite, send_in, send_out)
+from .core import (MAX_COUNT, Multiset, Rule, RuleForm, _Record, _require_int, _set,
+                   build_configuration, check_symbol, endo, exo, rewrite, send_in, send_out)
 from .parser import Model
 
 __all__ = ["CouplingSpec", "generate_carrier_protocol", "couple", "carrier_cycle_length",
@@ -202,10 +202,13 @@ def couple(units: Iterable[tuple[CouplingSpec, Sequence[Rule], int, Mapping[str,
     stock)``.  Each macro membrane holds its payload beside its coupling
     membrane, which holds the micro membrane with its stock and the carrier,
     parked in the first phase with *cycles* cycle tokens.  The rules are,
-    unit by unit, the carrier protocol and then the micro rules."""
+    unit by unit, the carrier protocol and then the micro rules.  *cycles*
+    and each payload must be ints within ``[0, MAX_COUNT]``."""
+    _require_int("cycles", cycles, 0, MAX_COUNT)
     skin: list[tuple] = []
     rules: list[Rule] = []
     for spec, micro, payload, stock in units:
+        _require_int("payload", payload, 0, MAX_COUNT)
         carrier = {**_phase(0), spec.cycle_symbol: cycles} if cycles else _phase(0)
         skin += [(spec.macro_label, {spec.payload_symbol: payload} if payload else None, ()),
                  (spec.coupling_label, None,

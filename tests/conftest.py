@@ -1,12 +1,18 @@
-"""Shared fixtures: corpus access and a seeded random-system generator."""
+"""Shared fixtures: corpus access, seeded random-system generators, the
+chained-step loop and the protocol-sized bone run."""
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
+from mmsim.bone import BoneParams, build_bone_model, micro_rules
 from mmsim.core import Configuration, Membrane, Multiset, Rule, RuleForm
+from mmsim.coupling import CouplingSpec, cycle_end_step
+from mmsim.engine import EngineOptions, StepResult, Trace, run, step
 from mmsim.rng import SplitMix64
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -25,6 +31,42 @@ def corpus_invalid() -> list[Path]:
     return sorted((CORPUS / "invalid").glob("*.mm"))
 
 
+def chained_steps(config: Configuration, rules: Sequence[Rule], rng: SplitMix64,
+                  steps: int) -> Iterator[tuple[Configuration, StepResult]]:
+    """Up to *steps* chained ``step()`` calls from *config*, each yielded as
+    ``(configuration before, result)``; the halting step is the last."""
+    for _ in range(steps):
+        result = step(config, rules, rng)
+        yield config, result
+        if result.halted:
+            return
+        config = result.config
+
+
+@lru_cache(maxsize=None)
+def bone_run(seed: int = 0, **params) -> tuple[Trace, BoneParams]:
+    """The bone model of *params* run for the steps ``mmsim bone`` runs:
+    through the last round trip's deposit step and the halting step."""
+    p = BoneParams(**params)
+    max_steps = cycle_end_step(p.cycles, micro_rules(CouplingSpec())) + 2
+    return run(build_bone_model(p), EngineOptions(seed=seed), max_steps), p
+
+
+def _tree(labels: list[str], parents: list[int | None],
+          contents: list[dict[str, int]]) -> Configuration:
+    """The configuration whose membrane *i* has ``labels[i]``, ``contents[i]``
+    and parent ``parents[i]`` (``None`` for the skin, membrane 0)."""
+    children: dict[int, list[int]] = {i: [] for i in range(len(labels))}
+    for i in range(1, len(labels)):
+        children[parents[i]].append(i)
+
+    def build(i: int) -> Membrane:
+        return Membrane(i, labels[i], Multiset(contents[i]),
+                        tuple(build(c) for c in children[i]))
+
+    return Configuration(build(0))
+
+
 def random_system(seed: int) -> tuple[Configuration, list[Rule]]:
     """A pseudo-random small system: at most 3 membranes, 4 rules,
     6 symbols, and per-symbol counts at most 3.
@@ -41,10 +83,6 @@ def random_system(seed: int) -> tuple[Configuration, list[Rule]]:
     n_membranes = 1 + rng.below(3)
     labels = [pick(LABEL_POOL) for _ in range(n_membranes)]
     parents = [None] + [rng.below(i) for i in range(1, n_membranes)]
-    children: dict[int, list[int]] = {i: [] for i in range(n_membranes)}
-    for i in range(1, n_membranes):
-        children[parents[i]].append(i)
-
     contents: list[dict[str, int]] = []
     present_symbols: list[str] = []
     for _ in range(n_membranes):
@@ -54,12 +92,7 @@ def random_system(seed: int) -> tuple[Configuration, list[Rule]]:
             picks[sym] = min(3, picks.get(sym, 0) + 1 + rng.below(3))
         contents.append(picks)
         present_symbols.extend(picks)
-
-    def build(i: int) -> Membrane:
-        return Membrane(i, labels[i], Multiset(contents[i]),
-                        tuple(build(c) for c in children[i]))
-
-    config = Configuration(build(0))
+    config = _tree(labels, parents, contents)
 
     def rule_label() -> str:
         return pick(labels) if rng.below(4) else pick(LABEL_POOL)
@@ -112,10 +145,6 @@ def random_deep_system(seed: int) -> tuple[Configuration, list[Rule]]:
     labels = ["skin"] + [pick(DEEP_LABEL_POOL) for _ in range(n_membranes - 1)]
     # Membranes 0..3 form a chain; each later one hangs under any earlier one.
     parents = [None, 0, 1, 2] + [rng.below(i) for i in range(4, n_membranes)]
-    children: dict[int, list[int]] = {i: [] for i in range(n_membranes)}
-    for i in range(1, n_membranes):
-        children[parents[i]].append(i)
-
     symbols = SYMBOL_POOL[:4]
     contents = []
     for _ in range(n_membranes):
@@ -123,12 +152,7 @@ def random_deep_system(seed: int) -> tuple[Configuration, list[Rule]]:
         for _ in range(1 + rng.below(2)):
             picks[pick(symbols)] = 1 + rng.below(2)
         contents.append(picks)
-
-    def build(i: int) -> Membrane:
-        return Membrane(i, labels[i], Multiset(contents[i]),
-                        tuple(build(c) for c in children[i]))
-
-    config = Configuration(build(0))
+    config = _tree(labels, parents, contents)
 
     forms = (RuleForm.ENDO, RuleForm.EXO, RuleForm.ENDO, RuleForm.EXO,
              RuleForm.REWRITE, RuleForm.SEND_IN, RuleForm.SEND_OUT)
@@ -141,7 +165,8 @@ def random_deep_system(seed: int) -> tuple[Configuration, list[Rule]]:
         consumed = Multiset({pick(sorted(contents[source])): 1})
         host = None
         if form is RuleForm.ENDO:
-            siblings = [c for c in children[parent] if c != anchor]
+            siblings = [c for c in range(1, n_membranes)
+                        if parents[c] == parent and c != anchor]
             host = labels[pick(siblings)] if siblings else pick(DEEP_LABEL_POOL)
         elif form is RuleForm.EXO:
             host = labels[parent]

@@ -10,19 +10,17 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from functools import lru_cache
 from pathlib import Path
 
-from mmsim.bone import (BoneParams, build_bone_model, density_series, micro_rules,
-                        transit_total, unit_spec)
+from mmsim.bone import density_series, micro_rules, transit_total, unit_spec
 from mmsim.cli import main
 from mmsim.coupling import CouplingSpec, carrier_cycle_length
-from mmsim.engine import EngineOptions, Trace, run, step
+from mmsim.engine import EngineOptions, run
 from mmsim.oracle import OracleBoundExceeded, canonical_form, oracle_successors
 from mmsim.parser import ParseError, Model, parse_model, serialize_model
 from mmsim.rng import SplitMix64
 
-from conftest import random_system
+from conftest import bone_run, chained_steps, random_system
 
 CORPUS = Path(__file__).parent / "corpus"
 BONE_FILE = CORPUS / "valid" / "bone_default.mm"
@@ -36,13 +34,6 @@ def criterion(number: int, description: str):
         print(f"[FAIL] criterion {number}: {description}")
         raise
     print(f"[PASS] criterion {number}: {description}")
-
-
-@lru_cache(maxsize=None)
-def bone_trace(seed: int = 0, **params) -> tuple[Trace, BoneParams]:
-    p = BoneParams(**params)
-    trace = run(build_bone_model(p), EngineOptions(seed=seed), max_steps=20_000)
-    return trace, p
 
 
 BONE_CASES = (
@@ -65,21 +56,15 @@ def test_criterion_1_oracle_equivalence():
         while systems_checked < 120 and seed < 2000:
             seed += 1
             config, rules = random_system(seed)
-            rng = SplitMix64(seed * 31 + 7)
             nontrivial = False
-            for _ in range(3):
+            for before, result in chained_steps(config, rules, SplitMix64(seed * 31 + 7), 3):
                 try:
-                    successors = oracle_successors(config, rules, bound=64)
+                    successors = oracle_successors(before, rules, bound=64)
                 except OracleBoundExceeded:
                     break
-                result = step(config, rules, rng)
                 assert canonical_form(result.config) in successors, f"seed {seed}"
                 steps_checked += 1
-                if result.applied:
-                    nontrivial = True
-                if result.halted:
-                    break
-                config = result.config
+                nontrivial = nontrivial or not result.halted
             if nontrivial:
                 systems_checked += 1
         elapsed = time.monotonic() - started
@@ -94,7 +79,7 @@ def test_criterion_2_maximality_checks():
         # Long bone runs (the engine re-verifies every step).
         for params in (dict(oc=3, ob=1, cycles=450),
                        dict(oc=2, ob=2, cycles=420, units=2)):
-            trace, _ = bone_trace(**params)
+            trace, _ = bone_run(**params)
             assert trace.halted
             total += len(trace.steps)
         # Corpus models, stepped under the same assertions.
@@ -105,13 +90,7 @@ def test_criterion_2_maximality_checks():
         # Random small systems.
         for seed in range(120):
             config, rules = random_system(seed)
-            rng = SplitMix64(seed)
-            for _ in range(4):
-                result = step(config, rules, rng)
-                total += 1
-                if result.halted:
-                    break
-                config = result.config
+            total += sum(1 for _ in chained_steps(config, rules, SplitMix64(seed), 4))
         assert total >= 10_000, total
 
 
@@ -132,18 +111,21 @@ def test_criterion_3_determinism(tmp_path, capsys):
 def test_criterion_4_bone_arithmetic():
     with criterion(4, "reference remodelling arithmetic, each run under 1s"):
         started = time.monotonic()
-        trace, p = bone_trace(oc=3, ob=1, cycles=1)
+        trace, p = bone_run(oc=3, ob=1, cycles=1)
+        assert trace.halted
         assert density_series(trace, 1, p.capacity) == [(1, 0.4)]
         assert trace.steps[-1].state["T1"] == {"c": 8}
         assert time.monotonic() - started < 1.0
 
         started = time.monotonic()
-        trace, p = bone_trace(oc=3, ob=3, cycles=2)
-        assert [d for _, d in density_series(trace, 1, p.capacity)] == [0.5, 0.5]
+        trace, p = bone_run(oc=3, ob=3, cycles=2)
+        assert trace.halted
+        assert density_series(trace, 1, p.capacity) == [(1, 0.5), (2, 0.5)]
         assert time.monotonic() - started < 1.0
 
         started = time.monotonic()
-        trace, p = bone_trace(oc=4, ob=0, cycles=3)
+        trace, p = bone_run(oc=4, ob=0, cycles=3)
+        assert trace.halted
         series = [d for _, d in density_series(trace, 1, p.capacity)]
         assert series and all(later <= earlier for earlier, later in zip(series, series[1:]))
         assert time.monotonic() - started < 1.0
@@ -152,7 +134,7 @@ def test_criterion_4_bone_arithmetic():
 def test_criterion_5_conservation():
     with criterion(5, "per-unit payload+slot total constant on every step, exactly"):
         for params in BONE_CASES:
-            trace, p = bone_trace(**params)
+            trace, p = bone_run(**params)
             expected = 10  # encode(0.5, 20) mineral tokens, free slots start at 0
             for unit in range(1, params.get("units", 1) + 1):
                 for trace_step in trace.steps:
@@ -161,7 +143,7 @@ def test_criterion_5_conservation():
 
 def test_criterion_6_protocol_timing():
     with criterion(6, "measured macro-cycle length equals the frozen constant"):
-        trace, _ = bone_trace(oc=3, ob=3, cycles=4)
+        trace, _ = bone_run(oc=3, ob=3, cycles=4)
         drains = [s.index for s in trace.steps
                   if any(a.rule == "V1_drain_done" for a in s.applied)]
         assert len(drains) == 4
@@ -207,7 +189,7 @@ def test_criterion_8_drain_completeness():
     with criterion(8, "the step after the drain phase leaves zero tissue payload"):
         drains_seen = 0
         for params in BONE_CASES:
-            trace, _ = bone_trace(**params)
+            trace, _ = bone_run(**params)
             for unit in range(1, params.get("units", 1) + 1):
                 spec = unit_spec(unit)
                 for i, trace_step in enumerate(trace.steps[:-1]):

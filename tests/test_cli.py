@@ -19,9 +19,11 @@ from mmsim.bone import BoneParams, build_bone_model, density_series, micro_rules
 from mmsim.cli import _build_argparser, main
 from mmsim.core import MAX_COUNT, MAX_DEPTH
 from mmsim.coupling import CouplingSpec, cycle_end_step
-from mmsim.engine import AppliedRule, EngineOptions, TraceStep, run
+from mmsim.engine import AppliedRule, TraceStep
 from mmsim.parser import parse_model, serialize_model
 from mmsim.tracefile import model_hash, trace_lines
+
+from conftest import bone_run
 
 ROOT = Path(__file__).parent.parent
 CORPUS = Path(__file__).parent / "corpus"
@@ -313,11 +315,10 @@ class TestBone:
 
     @pytest.mark.parametrize("density,oc,ob", [(0.5, 2, 1), (0.0, 0, 0), (1.0, 3, 0)])
     def test_csv_equals_density_series_of_each_unit(self, density, oc, ob, capsys):
-        params = BoneParams(density=density, oc=oc, ob=ob, cycles=3, units=3)
         assert main(["bone", "--units", "3", "--cycles", "3", "--density", str(density),
                      "--oc", str(oc), "--ob", str(ob)]) == 0
         rows = capsys.readouterr().out.splitlines()
-        trace = run(build_bone_model(params), EngineOptions(), max_steps=4000)
+        trace, params = bone_run(density=density, oc=oc, ob=ob, cycles=3, units=3)
         expected = [f"{unit},{cycle},{d}" for unit in (1, 2, 3)
                     for cycle, d in density_series(trace, unit, params.capacity)]
         assert rows == ["unit,cycle,density", *expected] and len(expected) == 9

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
-from mmsim.bone import BoneParams, build_bone_model, micro_rules, unit_spec
-from mmsim.core import rewrite, send_out
+from mmsim.bone import micro_rules, unit_spec
+from mmsim.core import MAX_COUNT, rewrite, send_out
 from mmsim.coupling import (
     CouplingSpec,
     carrier_cycle_length,
@@ -13,20 +15,14 @@ from mmsim.coupling import (
     cycle_end_step,
     generate_carrier_protocol,
 )
-from mmsim.engine import EngineOptions, Trace, run, step
+from mmsim.engine import EngineOptions, Trace, run
 from mmsim.oracle import canonical_form, oracle_successors
 from mmsim.rng import SplitMix64
 
-from conftest import MICRO_STOCK, random_micro_rules
+from conftest import MICRO_STOCK, bone_run, chained_steps, random_micro_rules
 
 # The bone's micro rules: two levels, so two wait phases.
 BONE_MICRO = micro_rules(CouplingSpec())
-
-
-def bone_trace(cycles: int = 3, units: int = 1, oc: int = 3, ob: int = 1,
-               seed: int = 0) -> Trace:
-    model = build_bone_model(BoneParams(oc=oc, ob=ob, cycles=cycles, units=units))
-    return run(model, EngineOptions(seed=seed), max_steps=2000)
 
 
 class TestSpec:
@@ -92,21 +88,15 @@ def drain_steps(trace: Trace, unit: int = 1) -> list[int]:
 
 
 class TestTiming:
-    def test_steady_cycle_length_measured_from_trace(self):
-        drains = drain_steps(bone_trace(cycles=4))
-        assert len(drains) == 4
-        gaps = {b - a for a, b in zip(drains, drains[1:])}
-        assert gaps == {carrier_cycle_length(BONE_MICRO)}
-
     def test_first_cycle_lead_in(self):
-        drains = drain_steps(bone_trace(cycles=2))
+        drains = drain_steps(bone_run(oc=3, ob=1, cycles=2)[0])
         # round trip k + 1 drains in the step after round trip k deposits;
         # for the first one, k = 0 stands for the lead-in
         assert drains[0] == cycle_end_step(0) + 1
 
     @pytest.mark.parametrize("cycles", [1, 2, 3])
     def test_total_run_length(self, cycles):
-        trace = bone_trace(cycles=cycles)
+        trace, _ = bone_run(oc=3, ob=1, cycles=cycles)
         assert trace.halted
         # the last deposit step, then the recorded halting step
         assert len(trace.steps) == cycle_end_step(cycles, BONE_MICRO) + 2
@@ -115,14 +105,12 @@ class TestTiming:
     @pytest.mark.parametrize("oc,ob", [(0, 0), (3, 1), (1, 5)])
     @pytest.mark.parametrize("density", [0.0, 0.5, 1.0])
     def test_cli_step_bound_reaches_halt(self, density, oc, ob, units):
+        # bone_run takes exactly the steps ``mmsim bone`` takes.
         for cycles in range(4):
-            params = BoneParams(density=density, oc=oc, ob=ob, cycles=cycles, units=units)
-            bound = cycle_end_step(cycles, BONE_MICRO) + 2  # the step count ``mmsim bone`` runs
             for seed in range(5):
-                trace = run(build_bone_model(params), EngineOptions(seed=seed),
-                            max_steps=bound)
+                trace, _ = bone_run(seed, density=density, oc=oc, ob=ob, cycles=cycles,
+                                    units=units)
                 assert trace.halted, (cycles, seed)
-                assert bound >= len(trace.steps)
 
     @pytest.mark.parametrize("units", [1, 2, 3])
     @pytest.mark.parametrize("oc,ob", [(0, 0), (3, 1), (1, 5)])
@@ -133,10 +121,10 @@ class TestTiming:
         # cycle_end_step(k), and the carrier holds the last phase before each.
         last_phase = "p13"
         for cycles in range(5):
-            params = BoneParams(density=density, oc=oc, ob=ob, cycles=cycles, units=units)
             ends = {cycle_end_step(k, BONE_MICRO) for k in range(1, cycles + 1)}
             for seed in range(5):
-                trace = run(build_bone_model(params), EngineOptions(seed=seed), max_steps=2000)
+                trace, _ = bone_run(seed, density=density, oc=oc, ob=ob, cycles=cycles,
+                                    units=units)
                 for unit in range(1, units + 1):
                     landing = {f"V{unit}_deposit", f"V{unit}_restart"}
                     fired = {s.index for s in trace.steps
@@ -148,13 +136,13 @@ class TestTiming:
                         assert trace.steps[end - 1].state[f"V{unit}"].get(last_phase) == 1
 
     def test_no_cycle_tokens_means_carrier_never_leaves(self):
-        trace = bone_trace(cycles=0)
+        trace, _ = bone_run(oc=3, ob=1, cycles=0)
         assert trace.halted and len(trace.steps) == 1
         assert trace.steps[0].state["V1"] == {"p0": 1}
         assert trace.steps[0].state["T1"] == {"c": 10}
 
     def test_phase_exclusivity_every_step(self):
-        trace = bone_trace(cycles=3)
+        trace, _ = bone_run(oc=3, ob=1, cycles=3)
         phases = {f"p{i}" for i in range(14)}
         for step in trace.steps:
             carrier = step.state["V1"]
@@ -167,9 +155,20 @@ class TestTiming:
 
 
 class TestComposition:
+    @pytest.mark.parametrize("cycles,payload,message", [
+        (-1, 10, f"cycles must be within [0, {MAX_COUNT}]"),
+        (True, 10, "cycles must be an int, got True"),
+        (2.0, 10, "cycles must be an int, got 2.0"),
+        (1, -2, f"payload must be within [0, {MAX_COUNT}]"),
+        (1, 1.5, "payload must be an int, got 1.5"),
+    ], ids=["cycles-negative", "cycles-bool", "cycles-float", "payload-negative", "payload-float"])
+    def test_cycles_and_payload_are_checked_by_name(self, cycles, payload, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            couple([(CouplingSpec(), BONE_MICRO, payload, None)], cycles)
+
     def test_two_units_embed_the_single_unit_trace(self):
-        single = bone_trace(cycles=2, units=1, seed=5)
-        double = bone_trace(cycles=2, units=2, seed=9)
+        single, _ = bone_run(5, oc=3, ob=1, cycles=2)
+        double, _ = bone_run(9, oc=3, ob=1, cycles=2, units=2)
         unit_labels = {"T1", "CU1", "BMU1", "V1"}
         assert len(single.steps) == len(double.steps)
         for mine, theirs in zip(single.steps, double.steps):
@@ -179,7 +178,7 @@ class TestComposition:
                 k: v for k, v in mine.state.items() if k != "skin"}
 
     def test_halting_configuration_reached_with_micro_halting(self):
-        trace = bone_trace(cycles=1, oc=0, ob=0)
+        trace, _ = bone_run(cycles=1)
         assert trace.halted
         assert trace.steps[-1].state["V1"] == {"p13": 1}
 
@@ -188,10 +187,12 @@ class TestComposition:
         # still runs as it would alone, then rests once its solo run halts.
         units = [(unit_spec(1), micro_rules(unit_spec(1)), 10, {"_oc": 3, "_ob": 1}),
                  (unit_spec(2), two_stage_formation(unit_spec(2)), 10, {"_oc": 2, "_ob": 3})]
-        composed = run(couple(units, 3), EngineOptions(seed=4), max_steps=200)
-        solos = [run(couple([unit], 3), EngineOptions(seed=7), max_steps=200) for unit in units]
-        assert [len(solo.steps) for solo in solos] == [
-            cycle_end_step(3, micro) + 2 for _, micro, _, _ in units] == [39, 42]
+        ends = [cycle_end_step(3, micro) + 2 for _, micro, _, _ in units]
+        assert ends == [39, 42]
+        composed = run(couple(units, 3), EngineOptions(seed=4), max(ends))
+        solos = [run(couple([unit], 3), EngineOptions(seed=7), end)
+                 for unit, end in zip(units, ends)]
+        assert all(solo.halted for solo in solos) and [len(solo.steps) for solo in solos] == ends
         assert composed.halted and len(composed.steps) == 42
         for (spec, *_), solo in zip(units, solos):
             labels = {spec.macro_label, spec.micro_label, spec.coupling_label, spec.carrier_label}
@@ -247,8 +248,9 @@ class TestMicroLevels:
         spec = unit_spec(1)
         micro = two_stage_formation(spec)
         model = couple([(spec, micro, 10, {"_oc": 3, "_ob": 3})], cycles=1)
-        trace = run(model, EngineOptions(seed=0), max_steps=100)
-        assert trace.halted and len(trace.steps) == cycle_end_step(1, micro) + 2 == 16
+        end = cycle_end_step(1, micro) + 2
+        trace = run(model, EngineOptions(seed=0), end)
+        assert trace.halted and len(trace.steps) == end == 16
         final = trace.steps[-1].state
         assert final["T1"] == {"c": 10}  # density 0.5 at capacity 20
         assert final.get("BMU1", {}) == {}
@@ -286,13 +288,10 @@ class TestMicroLevels:
         rng = SplitMix64(seed)
         stock = {sym: 1 + rng.below(3) for sym in MICRO_STOCK}
         model = couple([(spec, micro, 1 + rng.below(4), stock)], cycles=2)
-        config, pickups = model.config, 0
-        for _ in range(100):
-            result = step(config, model.rules, rng)
-            if result.halted:
-                break
+        pickups = 0
+        for before, result in chained_steps(model.config, model.rules, rng,
+                                            cycle_end_step(2, micro) + 2):
             if any(instance.rule.id == "V_pickup_done" for instance, _ in result.applied):
                 pickups += 1
-                assert oracle_successors(config, micro) == {canonical_form(config)}
-            config = result.config
+                assert oracle_successors(before, micro) == {canonical_form(before)}
         assert result.halted and pickups == 2

@@ -18,7 +18,6 @@ from mmsim.core import (
     iter_membranes,
     rewrite,
     send_in,
-    validate,
 )
 from mmsim.engine import (
     CountOverflow,
@@ -37,7 +36,7 @@ from mmsim.parser import Model, parse_model, serialize_model
 from mmsim.rng import RNG_ALGORITHM, SplitMix64
 from mmsim.tracefile import trace_lines
 
-from conftest import random_deep_system, random_system
+from conftest import chained_steps, random_deep_system, random_system
 
 
 def drain_model() -> Model:
@@ -50,13 +49,8 @@ def random_states(steps: int = 3):
     for make in (random_system, random_deep_system):
         for seed in range(200):
             config, rules = make(seed)
-            rng = SplitMix64(seed)
-            for _ in range(steps + 1):
-                yield config, rules
-                result = step(config, rules, rng)
-                if result.halted:
-                    break
-                config = result.config
+            for before, _ in chained_steps(config, rules, SplitMix64(seed), steps + 1):
+                yield before, rules
 
 
 class TestEnumerate:
@@ -378,28 +372,18 @@ class TestStep:
     def test_conservation_under_pure_transfer(self):
         model = parse_model(
             "[skin: c*10 [V: ]] rule load: send-in V: c -> cl rule unload: send-out V: cl -> c")
-        config = model.config
-        rng = SplitMix64(4)
-        for _ in range(20):
-            result = step(config, model.rules, rng)
+        for _, result in chained_steps(model.config, model.rules, SplitMix64(4), 20):
             totals = label_totals(result.config).values()
             assert sum(n for counts in totals for n in counts.values()) == 10
-            config = result.config
 
     def test_structure_preserved_on_random_systems(self):
         for seed in range(40):
             config, rules = random_system(seed)
             count = len(list(iter_membranes(config.skin)))
-            rng = SplitMix64(seed)
-            for _ in range(3):
-                result = step(config, rules, rng)
-                assert validate(result.config) == []
+            for before, result in chained_steps(config, rules, SplitMix64(seed), 3):
                 assert len(list(iter_membranes(result.config.skin))) == count
                 assert sorted(m.label for m in iter_membranes(result.config.skin)) == \
-                    sorted(m.label for m in iter_membranes(config.skin))
-                if result.halted:
-                    break
-                config = result.config
+                    sorted(m.label for m in iter_membranes(before.skin))
 
 
 class TestRun:
@@ -449,16 +433,14 @@ class TestRun:
     def assert_run_is_chained_steps(model: Model, seed: int, max_steps: int) -> None:
         options = EngineOptions(seed=seed)
         trace = run(model, options, max_steps)
-        config, rng = model.config, SplitMix64(seed)
-        for recorded in trace.steps:
-            result = step(config, model.rules, rng, options)
+        chained = chained_steps(model.config, model.rules, SplitMix64(seed), max_steps)
+        for recorded, (_, result) in zip(trace.steps, chained, strict=True):
             applied = tuple(engine.AppliedRule(i.rule.id, i.subject_id, i.host_id, k)
                             for i, k in result.applied)
             assert recorded.applied == applied
             assert recorded.halted == result.halted
             assert recorded.state == label_totals(result.config)
-            config = result.config
-        assert trace.final == config
+        assert trace.final == result.config
         assert tuple(iter_steps(model, options, max_steps)) == trace.steps
 
     def test_run_equals_chained_steps_on_random_systems(self):
