@@ -227,7 +227,8 @@ def carrier_cycle_length(micro: Iterable[Rule] = ()) -> int:
 def cycle_end_step(k: int, micro: Iterable[Rule] = ()) -> int:
     """The step in which round trip *k* (from 1) of a unit with micro rules
     *micro* deposits: the carrier leaves the first phase in step 0 and moves
-    one phase per step.  The step after the last round trip halts."""
+    one phase per step.  The step after the last round trip halts.  *k* = 0
+    gives the last lead-in step (1), so the first drain is one step later."""
     _require_int("k", k, 0)
     table, drain = _phase_table(CouplingSpec(), _wait_names(micro))
     return drain + k * (len(table) - drain) - 1

@@ -6,11 +6,13 @@ parallel step, and reports them in a canonical form with membrane ids
 erased.  It deliberately shares no selection or application code with
 ``mmsim.engine``; both sides only read the same value types.
 
-The search walks the instance list once, branching on the multiplicity of
-each instance given the resources the branch has left.  A branch that
-leaves slack no later instance could ever consume is pruned to the full
-multiplicity, which keeps independent instances from exploding the tree.
-Inputs with more applicable instances than ``bound`` are rejected.
+Bindings are found through an index of membrane ids by label.  The search
+walks them once, branching on each one's multiplicity given what the branch
+has left.  One backward pass first marks each binding that a later one
+contends with, for a lock membrane or a (source, symbol) pair; an
+uncontested binding is only tried at full multiplicity, which keeps
+independent bindings from exploding the tree.  Inputs with more applicable
+bindings than ``bound`` are rejected.
 """
 
 from __future__ import annotations
@@ -47,16 +49,18 @@ def _canon(labels: dict[int, str], contents: dict[int, dict[str, int]],
 
 
 class _Net:
-    """A flat, dict-based snapshot of a configuration."""
+    """A flat, dict-based snapshot of a configuration, ids indexed by label."""
 
     def __init__(self, config: Configuration):
         self.labels: dict[int, str] = {}
+        self.by_label: dict[str, list[int]] = {}
         self.contents: dict[int, dict[str, int]] = {}
         self.children: dict[int, list[int]] = {}
         self.root = config.skin.id
         self.parent: dict[int, int | None] = {self.root: None}
         for m in iter_membranes(config.skin):
             self.labels[m.id] = m.label
+            self.by_label.setdefault(m.label, []).append(m.id)
             self.contents[m.id] = dict(m.contents.items())
             self.children[m.id] = [c.id for c in m.children]
             for c in m.children:
@@ -64,7 +68,8 @@ class _Net:
 
 
 class _Binding:
-    """One applicable (rule, membranes) binding, with flat consumption data."""
+    """One applicable (rule, membranes) binding, with flat consumption data.
+    A binding with a host moves its subject and locks both membranes."""
 
     def __init__(self, rule: Rule, subject: int, host: int | None, source: int, sink: int):
         self.rule = rule
@@ -73,70 +78,60 @@ class _Binding:
         self.source = source  # membrane the consumption is charged to
         self.sink = sink      # membrane the production lands in
         self.needs = dict(rule.consumed.items())
-        self.moves = rule.form in (_ENDO, _EXO)
+        self.moves = host is not None
         self.locks = frozenset((subject, host)) if self.moves else frozenset()
+
+
+def _holds(contents: dict[str, int], multiset) -> bool:
+    return all(contents.get(s, 0) >= n for s, n in multiset.items())
 
 
 def _bindings(net: _Net, rules) -> list[_Binding]:
     out: list[_Binding] = []
     for rule in rules:
-        for mid, label in net.labels.items():
-            if label != rule.subject:
-                continue
-            contents = net.contents[mid]
-            if rule.promoter is not None and any(
-                    contents.get(s, 0) < n for s, n in rule.promoter.items()):
-                continue
+        form = rule.form
+        for mid in net.by_label.get(rule.subject, ()):
             parent = net.parent[mid]
-            form = rule.form
-            fits_self = all(contents.get(s, 0) >= n for s, n in rule.consumed.items())
-            if form is _REWRITE and fits_self:
-                out.append(_Binding(rule, mid, None, mid, mid))
-            elif form is _ENDO and parent is not None and fits_self:
-                for sib in net.children[parent]:
-                    if sib != mid and net.labels[sib] == rule.host:
-                        out.append(_Binding(rule, mid, sib, mid, mid))
-            elif form is _EXO and parent is not None and fits_self:
-                if net.labels[parent] == rule.host and net.parent[parent] is not None:
-                    out.append(_Binding(rule, mid, parent, mid, mid))
-            elif form is _SEND_IN and parent is not None:
-                if all(net.contents[parent].get(s, 0) >= n for s, n in rule.consumed.items()):
-                    out.append(_Binding(rule, mid, None, parent, mid))
-            elif form is _SEND_OUT and parent is not None and fits_self:
-                out.append(_Binding(rule, mid, None, mid, parent))
+            if parent is None and form is not _REWRITE:
+                continue
+            source = parent if form is _SEND_IN else mid
+            if not (_holds(net.contents[source], rule.consumed)
+                    and _holds(net.contents[mid], rule.promoter or {})):
+                continue
+            if form is _ENDO:
+                hosts = [s for s in net.children[parent]
+                         if s != mid and net.labels[s] == rule.host]
+            elif form is _EXO:
+                exits = net.labels[parent] == rule.host and net.parent[parent] is not None
+                hosts = [parent] if exits else []
+            else:
+                hosts = [None]
+            sink = parent if form is _SEND_OUT else mid
+            out.extend(_Binding(rule, mid, host, source, sink) for host in hosts)
     return out
 
 
 def _max_copies(b: _Binding, residual, locked) -> int:
-    if b.moves:
-        if not locked.isdisjoint(b.locks):
-            return 0
-        fits = all(residual[b.source].get(s, 0) >= n for s, n in b.needs.items())
-        return 1 if fits else 0
-    return min(residual[b.source].get(s, 0) // n for s, n in b.needs.items())
+    if not locked.isdisjoint(b.locks):
+        return 0
+    k = min(residual[b.source].get(s, 0) // n for s, n in b.needs.items())
+    return min(k, 1) if b.moves else k
 
 
 def _successor(net: _Net, counts: list[int], bindings: list[_Binding]) -> Canon:
     contents = {mid: dict(c) for mid, c in net.contents.items()}
     children = {mid: list(c) for mid, c in net.children.items()}
-    parent = dict(net.parent)
     for b, k in zip(bindings, counts):
-        if k == 0:
-            continue
-        src = contents[b.source]
         for s, n in b.needs.items():
-            src[s] -= k * n
-        dst = contents[b.sink]
+            contents[b.source][s] -= k * n
         for s, n in b.rule.produced.items():
-            dst[s] = dst.get(s, 0) + k * n
-    # Moves second, targets resolved against the pre-step tree (net.parent).
-    for b, k in zip(bindings, counts):
-        if k == 0 or not b.moves:
-            continue
-        target = b.host if b.rule.form is _ENDO else net.parent[b.host]
-        children[parent[b.subject]].remove(b.subject)
-        children[target].append(b.subject)
-        parent[b.subject] = target
+            contents[b.sink][s] = contents[b.sink].get(s, 0) + k * n
+        # Moves resolve against the pre-step tree: the mover-lock moves each
+        # subject at most once and never moves a host.
+        if k and b.moves:
+            target = b.host if b.rule.form is _ENDO else net.parent[b.host]
+            children[net.parent[b.subject]].remove(b.subject)
+            children[target].append(b.subject)
     return _canon(net.labels, contents, children, net.root)
 
 
@@ -151,22 +146,16 @@ def oracle_successors(config: Configuration, rules, bound: int = 64) -> set[Cano
     if len(bindings) > bound:
         raise OracleBoundExceeded(
             f"{len(bindings)} applicable instances exceed the oracle bound {bound}")
-    if not bindings:
-        return {_canon(net.labels, net.contents, net.children, net.root)}
 
-    # For each binding, whether any later binding competes for the same
-    # resources or locks; if none does, only full multiplicity can be maximal.
-    contested = []
-    for i, b in enumerate(bindings):
-        clash = False
-        for later in bindings[i + 1:]:
-            if b.locks & later.locks:
-                clash = True
-                break
-            if later.source == b.source and set(later.needs) & set(b.needs):
-                clash = True
-                break
-        contested.append(clash)
+    # Whether any later binding contends for a lock membrane or a (source,
+    # symbol) pair; if none does, only full multiplicity can be maximal.
+    contested = [False] * len(bindings)
+    claimed: set = set()
+    for i in reversed(range(len(bindings))):
+        b = bindings[i]
+        claims = b.locks | {(b.source, s) for s in b.needs}
+        contested[i] = not claimed.isdisjoint(claims)
+        claimed |= claims
 
     successors: set[Canon] = set()
     counts = [0] * len(bindings)
@@ -175,20 +164,19 @@ def oracle_successors(config: Configuration, rules, bound: int = 64) -> set[Cano
 
     def search(i: int) -> None:
         if i == len(bindings):
-            if all(_max_copies(b, residual, locked) == 0 for b in bindings):
+            if not any(_max_copies(b, residual, locked) for b in bindings):
                 successors.add(_successor(net, counts, bindings))
             return
         b = bindings[i]
         top = _max_copies(b, residual, locked)
-        lowest = top if (top and not contested[i]) else 0
-        for k in range(top, lowest - 1, -1):
+        for k in range(top, (0 if contested[i] else top) - 1, -1):
             counts[i] = k
             for s, n in b.needs.items():
                 residual[b.source][s] -= k * n
-            if k and b.moves:
+            if k:
                 locked.update(b.locks)
             search(i + 1)
-            if k and b.moves:
+            if k:
                 locked.difference_update(b.locks)
             for s, n in b.needs.items():
                 residual[b.source][s] += k * n

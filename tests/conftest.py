@@ -121,14 +121,11 @@ def random_system(seed: int) -> tuple[Configuration, list[Rule]]:
     return config, rules
 
 
-DEEP_LABEL_POOL = ("L0", "L1", "L2")
-
-
 def random_deep_system(seed: int) -> tuple[Configuration, list[Rule]]:
     """A pseudo-random deeper system: 4 to 6 membranes, a chain at least
     three membranes deep below the skin, labels below the skin drawn from
-    three (so most systems repeat one), and 3 to 6 rules of which about
-    half move a membrane.
+    ``LABEL_POOL`` (so most systems repeat one), and 3 to 6 rules of which
+    about half move a membrane.
 
     Each rule is anchored on a concrete membrane: it consumes a symbol
     that membrane (or, for ``send-in``, its parent) holds, endo hosts are
@@ -142,7 +139,7 @@ def random_deep_system(seed: int) -> tuple[Configuration, list[Rule]]:
         return pool[rng.below(len(pool))]
 
     n_membranes = 4 + rng.below(3)
-    labels = ["skin"] + [pick(DEEP_LABEL_POOL) for _ in range(n_membranes - 1)]
+    labels = ["skin"] + [pick(LABEL_POOL) for _ in range(n_membranes - 1)]
     # Membranes 0..3 form a chain; each later one hangs under any earlier one.
     parents = [None, 0, 1, 2] + [rng.below(i) for i in range(4, n_membranes)]
     symbols = SYMBOL_POOL[:4]
@@ -167,7 +164,7 @@ def random_deep_system(seed: int) -> tuple[Configuration, list[Rule]]:
         if form is RuleForm.ENDO:
             siblings = [c for c in range(1, n_membranes)
                         if parents[c] == parent and c != anchor]
-            host = labels[pick(siblings)] if siblings else pick(DEEP_LABEL_POOL)
+            host = labels[pick(siblings)] if siblings else pick(LABEL_POOL)
         elif form is RuleForm.EXO:
             host = labels[parent]
         if host is not None:

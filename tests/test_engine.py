@@ -43,11 +43,12 @@ def drain_model() -> Model:
     return parse_model("[skin: c*10 [V: ]] rule load: send-in V: c -> cl")
 
 
-def random_states(steps: int = 3):
+def random_states(steps: int = 3, deep_seeds: int = 200):
     """``(config, rules)`` for both random-system tiers, at the start and
-    after each of up to *steps* chained steps."""
-    for make in (random_system, random_deep_system):
-        for seed in range(200):
+    after each of up to *steps* chained steps: seeds 0..199 of the small
+    tier and the first *deep_seeds* of the deep one."""
+    for make, seeds in ((random_system, 200), (random_deep_system, deep_seeds)):
+        for seed in range(seeds):
             config, rules = make(seed)
             for before, _ in chained_steps(config, rules, SplitMix64(seed), steps + 1):
                 yield before, rules
@@ -97,15 +98,19 @@ class TestEnumerate:
 
 
     def test_matches_oracle_bindings_on_random_systems(self):
-        checked = 0
-        for config, rules in random_states():
+        # The deep tier runs to more seeds: its repeated labels at depth >= 3
+        # are where one rule binds several membranes through the label index.
+        checked = repeated = 0
+        for config, rules in random_states(deep_seeds=800):
             bindings = oracle._bindings(oracle._Net(config), rules)
             instances = enumerate_instances(config, rules)
             got = [(i.rule.id, i.subject_id, i.host_id) for i in instances]
             assert len(set(got)) == len(got)
             assert set(got) == {(b.rule.id, b.subject, b.host) for b in bindings}
             checked += 1
-        assert checked > 600
+            subjects = {(b.rule.id, b.subject) for b in bindings}
+            repeated += len(subjects) > len({rule_id for rule_id, _ in subjects})
+        assert checked > 2000 and repeated > 400
 
     def test_rule_table_compiled_once_per_rule_set(self, monkeypatch):
         compiled = []

@@ -3,15 +3,18 @@
 
 from __future__ import annotations
 
+import itertools
 import time
+from collections import Counter
 
 import pytest
 
+from mmsim import oracle
 from mmsim.core import RuleForm, build_configuration, rewrite, send_in
 from mmsim.oracle import OracleBoundExceeded, canonical_form, oracle_successors
 from mmsim.rng import SplitMix64
 
-from conftest import chained_steps, random_deep_system
+from conftest import chained_steps, random_deep_system, random_system
 
 
 def test_single_enabled_instance_single_successor():
@@ -72,3 +75,48 @@ def test_engine_step_is_oracle_member_on_deep_random_systems():
             forms = {inst.rule.form for inst, _ in result.applied}
             both_moves += {RuleForm.ENDO, RuleForm.EXO} <= forms
     assert checked >= 300 and both_moves >= 3
+
+
+def unpruned_successors(config, rules) -> set:
+    """Every maximal count vector over the oracle's bindings, found by
+    trying each vector up to each binding's own fit, with no pruning."""
+    net = oracle._Net(config)
+    bindings = oracle._bindings(net, rules)
+
+    def own_fit(b) -> int:
+        fit = min(net.contents[b.source][s] // n for s, n in b.needs.items())
+        return min(fit, 1) if b.moves else fit
+
+    def valid(counts) -> bool:
+        used = Counter()
+        for b, k in zip(bindings, counts):
+            for s, n in b.needs.items():
+                used[b.source, s] += k * n
+        locks = [m for b, k in zip(bindings, counts) if k and b.moves for m in b.locks]
+        return (all(used[key] <= net.contents[key[0]][key[1]] for key in used)
+                and len(locks) == len(set(locks))
+                and all(k <= 1 for b, k in zip(bindings, counts) if b.moves))
+
+    def maximal(counts) -> bool:
+        return not any(valid(counts[:i] + (k + 1,) + counts[i + 1:])
+                       for i, k in enumerate(counts))
+
+    vectors = itertools.product(*(range(own_fit(b) + 1) for b in bindings))
+    return {oracle._successor(net, list(counts), bindings)
+            for counts in vectors if valid(counts) and maximal(counts)}
+
+
+def test_pruned_search_equals_unpruned_enumeration():
+    """The oracle's pruning (uncontested bindings at full multiplicity, the
+    mover-lock applied as it goes) loses and adds no maximal outcome."""
+    checked = 0
+    for make, seeds in ((random_system, 1000), (random_deep_system, 300)):
+        for seed in range(seeds):
+            config, rules = make(seed)
+            for before, _ in chained_steps(config, rules, SplitMix64(seed), 4):
+                if len(oracle._bindings(oracle._Net(before), rules)) > 8:
+                    continue
+                assert oracle_successors(before, rules) == unpruned_successors(before, rules), \
+                    (make.__name__, seed)
+                checked += 1
+    assert checked > 2000
