@@ -30,10 +30,12 @@ print()
 # Compose a minimal unit: a tissue patch with 4 payload tokens, an empty
 # micro membrane, and a carrier with one cycle token.  No micro rules here,
 # so delivery is a no-op and everything comes back unchanged.
-model = couple([(spec, micro, 4, None)], cycles=1)
+cycles = 1
+model = couple([(spec, micro, 4, None)], cycles)
 
 print("phase walk of one round trip (4 payload tokens, no micro dynamics):")
-trace = run(model, EngineOptions(seed=0), max_steps=50)
+# The last round trip's deposit step, then the halting step.
+trace = run(model, EngineOptions(seed=0), max_steps=cycle_end_step(cycles, micro) + 2)
 for step_ in trace.steps:
     fired = ", ".join(f"{a.rule}x{a.count}" if a.count > 1 else a.rule
                       for a in step_.applied) or "(halted)"

@@ -3,12 +3,28 @@
 Run with:  python3 demos/04_bone_remodelling.py
 """
 
-from mmsim import BoneParams, EngineOptions, build_bone_model, density_series, run, transit_total
+from mmsim import (
+    BoneParams,
+    CouplingSpec,
+    EngineOptions,
+    build_bone_model,
+    cycle_end_step,
+    density_series,
+    micro_rules,
+    run,
+    transit_total,
+)
+
+
+def run_to_halt(p: BoneParams):
+    # The last round trip's deposit step, then the halting step.
+    max_steps = cycle_end_step(p.cycles, micro_rules(CouplingSpec())) + 2
+    return run(build_bone_model(p), EngineOptions(seed=0), max_steps)
 
 
 def study(title: str, **params):
     p = BoneParams(**params)
-    trace = run(build_bone_model(p), EngineOptions(seed=0), max_steps=4000)
+    trace = run_to_halt(p)
     series = density_series(trace, 1, p.capacity)
     bar = {cycle: "#" * round(40 * density) for cycle, density in series}
     print(f"{title}  (oc={p.oc}, ob={p.ob}, cycles={p.cycles})")
@@ -30,7 +46,7 @@ study("inert micro scale   ", density=0.5, oc=0, ob=0, cycles=3)
 # Units evolve independently: same parameters give the same trajectory in
 # a composed multi-unit model.
 p = BoneParams(density=0.5, oc=3, ob=1, cycles=2, units=3)
-trace = run(build_bone_model(p), EngineOptions(seed=0), max_steps=4000)
+trace = run_to_halt(p)
 print("three units, composed in one model:")
 for unit in range(1, p.units + 1):
     print(f"  unit {unit}:", density_series(trace, unit, p.capacity))

@@ -36,10 +36,8 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .core import MAX_COUNT, Rule, _Record, _require_int, _set, rewrite
+from .core import MAX_COUNT, Model, Rule, Trace, TraceStep, _Record, _require_int, _set, rewrite
 from .coupling import CouplingSpec, _bag, carrier_cycle_length, couple, cycle_end_step
-from .engine import Trace, TraceStep
-from .parser import Model
 
 __all__ = [
     "BoneParams",

@@ -13,19 +13,18 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 from collections import deque
 from typing import Callable, Iterator
 
 from .bone import BoneParams, DensitySampler, build_bone_model, micro_rules
-from .core import _require_int
+from .core import EngineOptions, Model, TraceStep, _require_int
 from .coupling import CouplingSpec, cycle_end_step
-from .engine import EngineError, EngineOptions, TraceStep, iter_steps, label_totals
-from .parser import Model, ParseError, lint, parse_model, serialize_model
+from .engine import EngineError, iter_steps, label_totals
+from .parser import ParseError, lint, parse_model, serialize_model
 from .rng import RNG_ALGORITHM
-from .tracefile import model_hash, trace_lines
+from .tracefile import _dump, model_hash, trace_lines
 
 __all__ = ["main"]
 
@@ -120,8 +119,7 @@ def _run(path: str, seed: int, max_steps: int, trace_path: str | None,
         count, halted, state = final.index + 1, final.halted, final.state
     else:
         count, halted, state = 0, False, label_totals(model.config)
-    print(f"steps={count} halted={'true' if halted else 'false'} "
-          f"state={json.dumps(state, sort_keys=True, separators=(',', ':'))}")
+    print(f"steps={count} halted={'true' if halted else 'false'} state={_dump(state)}")
 
 
 def _bone(params: BoneParams, seed: int, emit_model: str | None,

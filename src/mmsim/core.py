@@ -1,4 +1,5 @@
-"""Core value types for mobile membrane systems.
+"""The value types of mobile membrane systems: every one the package
+shares, the run records included.
 
 A system state (:class:`Configuration`) is a finite tree of labelled
 membranes, each holding a :class:`Multiset` of symbol tokens.  Dynamics are
@@ -14,10 +15,14 @@ expressed by :class:`Rule` values of five forms:
 
 A rule may carry a promoter multiset: the rule applies only where the
 promoter is present in the subject membrane, but the promoter is never
-consumed.
+consumed.  A rule without one has the promoter ``EMPTY``.
 
-All types here are immutable values, so configurations and rules can be
-shared freely between threads.
+A :class:`Model` is a configuration with its rules.  A run takes
+:class:`EngineOptions` and records each step as a :class:`TraceStep` of
+:class:`AppliedRule` values, all of them in a :class:`Trace`; one step
+alone gives a :class:`StepResult`.  All types here are immutable records
+(a trace step's ``state`` is a plain dict, the step's own copy), so
+configurations and rules can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -53,6 +58,12 @@ __all__ = [
     "structural_violations",
     "build_configuration",
     "render_tree",
+    "Model",
+    "EngineOptions",
+    "StepResult",
+    "AppliedRule",
+    "TraceStep",
+    "Trace",
 ]
 
 # Counts are kept inside the signed 64-bit range so serialized traces stay
@@ -182,7 +193,11 @@ class RuleForm(Enum):
     SEND_OUT = "send-out"
 
 
-_MOVE_FORMS = (RuleForm.ENDO, RuleForm.EXO)
+# The forms as module constants, in definition order: on Python 3.11 each
+# ``RuleForm.X`` read goes through the enum metaclass's ``__getattr__`` and
+# costs about 15 global reads.
+_REWRITE, _ENDO, _EXO, _SEND_IN, _SEND_OUT = RuleForm
+_MOVE_FORMS = (_ENDO, _EXO)
 
 # Sets a field of a record: records refuse ``setattr`` once built.  Each
 # field gets its own call; a fill that loops over the slots is about twice
@@ -242,14 +257,15 @@ class Rule(_Record):
     wall is crossed for ``send-in``/``send-out``.  ``host`` names the
     movement target (endo) or the membrane being exited (exo) and must be
     absent for the other forms.  ``consumed`` must be non-empty: there are
-    no spontaneous rules.
+    no spontaneous rules.  ``promoter`` is ``EMPTY`` when the rule has
+    none; ``None`` is taken for it.
     """
 
     __slots__ = ("id", "form", "subject", "consumed", "produced", "host", "promoter")
 
     def __init__(self, id: str, form: RuleForm, subject: str, consumed: Multiset,
                  produced: Multiset, host: str | None = None,
-                 promoter: Multiset | None = None) -> None:
+                 promoter: Multiset | None = EMPTY) -> None:
         check_symbol(id)
         if not isinstance(form, RuleForm):
             raise ValueError(f"rule {id!r}: form must be a RuleForm, got {form!r}")
@@ -264,8 +280,7 @@ class Rule(_Record):
             check_symbol(host)
         elif host is not None:
             raise ValueError(f"rule {id!r}: {form.value} does not take a host label")
-        if promoter is not None:
-            promoter = as_multiset(promoter) or None
+        promoter = as_multiset(promoter)
         _set(self, "id", id)
         _set(self, "form", form)
         _set(self, "subject", subject)
@@ -419,3 +434,89 @@ def render_tree(root: Membrane, indent: str = "") -> str:
     for child in root.children:
         lines.append(render_tree(child, indent + "  "))
     return "\n".join(lines)
+
+
+class Model(_Record):
+    """A membrane structure plus its rule set."""
+
+    __slots__ = ("config", "rules")
+
+    def __init__(self, config: Configuration, rules: tuple[Rule, ...] = ()) -> None:
+        if not isinstance(config, Configuration):
+            raise ValueError(f"model config must be a Configuration, got {config!r}")
+        rules = tuple(rules)
+        seen: set[str] = set()
+        for rule in rules:
+            if not isinstance(rule, Rule):
+                raise ValueError(f"model rules must be Rule values, got {rule!r}")
+            if rule.id in seen:
+                raise ValueError(f"duplicate rule id {rule.id!r}")
+            seen.add(rule.id)
+        _set(self, "config", config)
+        _set(self, "rules", rules)
+
+
+class EngineOptions(_Record):
+    __slots__ = ("seed",)
+
+    def __init__(self, seed: int = 0) -> None:
+        _require_int("seed", seed)
+        if not 0 <= seed < (1 << 64):
+            raise ValueError("seed must be an unsigned 64-bit integer")
+        _set(self, "seed", seed)
+
+
+class StepResult(_Record):
+    """Outcome of one step. ``halted`` implies the configuration is the
+    input object and ``applied`` is empty."""
+
+    __slots__ = ("config", "applied", "halted")
+
+    def __init__(self, config: Configuration, applied: tuple[tuple[RuleInstance, int], ...],
+                 halted: bool) -> None:
+        _set(self, "config", config)
+        _set(self, "applied", applied)
+        _set(self, "halted", halted)
+
+
+class AppliedRule(_Record):
+    """One applied instance in a trace, with its multiplicity."""
+
+    __slots__ = ("rule", "subject", "host", "count")
+
+    def __init__(self, rule: str, subject: int, host: int | None, count: int) -> None:
+        _set(self, "rule", rule)
+        _set(self, "subject", subject)
+        _set(self, "host", host)
+        _set(self, "count", count)
+
+
+class TraceStep(_Record):
+    """One step of a run.  ``state`` holds the step's own copy of the
+    post-step object totals aggregated per membrane label."""
+
+    __slots__ = ("index", "applied", "halted", "state")
+
+    def __init__(self, index: int, applied: tuple[AppliedRule, ...], halted: bool,
+                 state: dict[str, dict[str, int]]) -> None:
+        _set(self, "index", index)
+        _set(self, "applied", applied)
+        _set(self, "halted", halted)
+        _set(self, "state", state)
+
+
+class Trace(_Record):
+    """Seeded, replayable record of a run."""
+
+    __slots__ = ("seed", "rng", "steps", "final")
+
+    def __init__(self, seed: int, rng: str, steps: tuple[TraceStep, ...],
+                 final: Configuration) -> None:
+        _set(self, "seed", seed)
+        _set(self, "rng", rng)
+        _set(self, "steps", steps)
+        _set(self, "final", final)
+
+    @property
+    def halted(self) -> bool:
+        return bool(self.steps) and self.steps[-1].halted

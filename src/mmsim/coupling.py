@@ -49,9 +49,8 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterable, Mapping, Sequence
 
-from .core import (MAX_COUNT, Multiset, Rule, RuleForm, _Record, _require_int, _set,
+from .core import (MAX_COUNT, Model, Multiset, Rule, RuleForm, _Record, _require_int, _set,
                    build_configuration, check_symbol, endo, exo, rewrite, send_in, send_out)
-from .parser import Model
 
 __all__ = ["CouplingSpec", "generate_carrier_protocol", "couple", "carrier_cycle_length",
            "cycle_end_step"]
@@ -139,7 +138,7 @@ def _wait_names(micro: Iterable[Rule], label: str | None = None) -> list[str]:
     for rule in rules:
         if rule.form is not RuleForm.REWRITE or rule.subject != label:
             raise ValueError(f"micro rule {rule.id!r} is not an 'in {label}' rewrite")
-    needs = [{*rule.consumed, *(rule.promoter or ())} for rule in rules]
+    needs = [{*rule.consumed, *rule.promoter} for rule in rules]
     producers = [{i for i, q in enumerate(rules) if s.intersection(q.produced)} for s in needs]
     ids, left, names = {rule.id for rule in rules}, range(len(rules)), []
     while left:

@@ -4,7 +4,7 @@ One step of a membrane system:
 
 1. Enumerate every individually applicable rule instance: each binding of a
    rule to concrete membranes whose consumed multiset fits the relevant
-   pre-step contents and whose promoter (if any) is present in the subject.
+   pre-step contents and whose promoter is present in the subject.
 2. Select a *maximal* multiset of instances: the chosen instances are
    jointly applicable (their combined consumption fits every membrane's
    pre-step contents, and no membrane takes part in more than one endo/exo
@@ -47,9 +47,10 @@ call per candidate.  A candidate with a host is an endo/exo move, and its
 subject and host are the membranes the mover-lock takes.  Selection
 copies a membrane's counts only when an instance first consumes from it,
 and its seeded shuffle mixes the generator's draws in blocks
-(:meth:`SplitMix64.shuffle`).  The step compares rule forms against
-module constants: on Python 3.11 a ``RuleForm.X`` read goes through the
-enum metaclass's ``__getattr__``, about 15 times the cost of a global.
+(:meth:`SplitMix64.shuffle`).  The step compares rule forms against the
+module constants of :mod:`mmsim.core`: on Python 3.11 a ``RuleForm.X``
+read goes through the enum metaclass's ``__getattr__``, about 15 times
+the cost of a global.
 
 A run's :class:`AppliedRule` records are shared: each distinct (rule,
 subject, host, multiplicity) gets one, so an entry of ``TraceStep.applied``
@@ -74,22 +75,29 @@ from collections import Counter
 from typing import Iterator, Sequence
 
 from .core import (
+    _ENDO,
+    _EXO,
+    _REWRITE,
+    _SEND_IN,
+    _SEND_OUT,
     MAX_COUNT,
     MAX_DEPTH,
     MAX_INSTANCES,
     _require_int,
-    _set,
     _wrap,
-    _Record,
+    AppliedRule,
     Configuration,
+    EngineOptions,
     Membrane,
+    Model,
     Multiset,
     Rule,
-    RuleForm,
     RuleInstance,
+    StepResult,
+    Trace,
+    TraceStep,
     iter_membranes,
 )
-from .parser import Model
 from .rng import RNG_ALGORITHM, SplitMix64
 
 __all__ = [
@@ -98,23 +106,12 @@ __all__ = [
     "CountOverflow",
     "DepthExceeded",
     "SelfCheckViolation",
-    "EngineOptions",
-    "StepResult",
-    "AppliedRule",
-    "TraceStep",
-    "Trace",
     "enumerate_instances",
     "step",
     "iter_steps",
     "run",
     "label_totals",
 ]
-
-# The forms as module constants, in definition order: on Python 3.11 each
-# ``RuleForm.X`` read goes through the enum metaclass's ``__getattr__`` and
-# costs about 15 global reads.
-_REWRITE, _ENDO, _EXO, _SEND_IN, _SEND_OUT = RuleForm
-
 
 class EngineError(RuntimeError):
     """A step could not be carried out.  ``step`` is the index of the
@@ -140,72 +137,6 @@ class SelfCheckViolation(EngineError):
     """A post-step maximality or validity assertion failed (engine bug)."""
 
 
-class EngineOptions(_Record):
-    __slots__ = ("seed",)
-
-    def __init__(self, seed: int = 0) -> None:
-        _require_int("seed", seed)
-        if not 0 <= seed < (1 << 64):
-            raise ValueError("seed must be an unsigned 64-bit integer")
-        _set(self, "seed", seed)
-
-
-class StepResult(_Record):
-    """Outcome of one step. ``halted`` implies the configuration is the
-    input object and ``applied`` is empty."""
-
-    __slots__ = ("config", "applied", "halted")
-
-    def __init__(self, config: Configuration, applied: tuple[tuple[RuleInstance, int], ...],
-                 halted: bool) -> None:
-        _set(self, "config", config)
-        _set(self, "applied", applied)
-        _set(self, "halted", halted)
-
-
-class AppliedRule(_Record):
-    """One applied instance in a trace, with its multiplicity."""
-
-    __slots__ = ("rule", "subject", "host", "count")
-
-    def __init__(self, rule: str, subject: int, host: int | None, count: int) -> None:
-        _set(self, "rule", rule)
-        _set(self, "subject", subject)
-        _set(self, "host", host)
-        _set(self, "count", count)
-
-
-class TraceStep(_Record):
-    """One step of a run.  ``state`` holds the step's own copy of the
-    post-step object totals aggregated per membrane label."""
-
-    __slots__ = ("index", "applied", "halted", "state")
-
-    def __init__(self, index: int, applied: tuple[AppliedRule, ...], halted: bool,
-                 state: dict[str, dict[str, int]]) -> None:
-        _set(self, "index", index)
-        _set(self, "applied", applied)
-        _set(self, "halted", halted)
-        _set(self, "state", state)
-
-
-class Trace(_Record):
-    """Seeded, replayable record of a run."""
-
-    __slots__ = ("seed", "rng", "steps", "final")
-
-    def __init__(self, seed: int, rng: str, steps: tuple[TraceStep, ...],
-                 final: Configuration) -> None:
-        _set(self, "seed", seed)
-        _set(self, "rng", rng)
-        _set(self, "steps", steps)
-        _set(self, "final", final)
-
-    @property
-    def halted(self) -> bool:
-        return bool(self.steps) and self.steps[-1].halted
-
-
 # ---------------------------------------------------------------------------
 # The rule table a run compiles once
 
@@ -222,7 +153,7 @@ class _Entry:
         self.form = rule.form
         self.host = rule.host
         self.consumed, self.produced, self.promoter = (
-            None if ms is None else items.setdefault(ms, tuple(sorted(ms._counts.items())))
+            items.setdefault(ms, tuple(sorted(ms._counts.items())))
             for ms in (rule.consumed, rule.produced, rule.promoter))
 
 
@@ -241,7 +172,7 @@ class _Table:
             # Rarest first: a symbol that many of the label's rules consume
             # is a shared stock and likely present, a phase token is not.
             consumers = Counter(sym for e in entries for sym, _ in e.consumed)
-            promoters = Counter(sym for e in entries for sym, _ in e.promoter or ())
+            promoters = Counter(sym for e in entries for sym, _ in e.promoter)
 
             def rarity(sym: str) -> tuple[int, int, str]:
                 return consumers[sym], promoters[sym], sym
@@ -254,7 +185,7 @@ class _Table:
                 if e.form is _SEND_IN:
                     via_parent.append((min(symbols, key=rarity), e))
                 else:
-                    symbols += [sym for sym, _ in e.promoter or ()]
+                    symbols += [sym for sym, _ in e.promoter]
                     own.append((min(symbols, key=rarity), e))
             self.groups.append((label, own, via_parent))
 
@@ -347,8 +278,7 @@ def _enumerate(state: _State, table: _Table) -> list[tuple]:
             here = contents[sid]
             pid = parent[sid]
             for key, e in own:  # every rule that consumes from the subject
-                if (key not in here or e.promoter is not None and not _fits(here, e.promoter)
-                        or not _fits(here, e.consumed)):
+                if key not in here or not _fits(here, e.promoter) or not _fits(here, e.consumed):
                     continue
                 form = e.form
                 if form is _REWRITE:
@@ -370,8 +300,7 @@ def _enumerate(state: _State, table: _Table) -> list[tuple]:
             if via_parent and pid is not None:
                 there = contents[pid]
                 for key, e in via_parent:  # send-in rules
-                    if (key in there and (e.promoter is None or _fits(here, e.promoter))
-                            and _fits(there, e.consumed)):
+                    if key in there and _fits(here, e.promoter) and _fits(there, e.consumed):
                         out.append((e.index, sid, None, pid, e))
     out.sort()
     return out

@@ -17,15 +17,11 @@ bindings than ``bound`` are rejected.
 
 from __future__ import annotations
 
-from .core import Configuration, Rule, RuleForm, iter_membranes
+from .core import _ENDO, _EXO, _REWRITE, _SEND_IN, _SEND_OUT, Configuration, Rule, iter_membranes
 
 __all__ = ["OracleBoundExceeded", "canonical_form", "oracle_successors"]
 
 Canon = tuple  # (label, ((sym, count), ...), (child canon, ...))
-
-# The forms as module constants, in definition order: on Python 3.11 each
-# ``RuleForm.X`` read goes through the enum metaclass's ``__getattr__``.
-_REWRITE, _ENDO, _EXO, _SEND_IN, _SEND_OUT = RuleForm
 
 
 class OracleBoundExceeded(ValueError):
@@ -96,7 +92,7 @@ def _bindings(net: _Net, rules) -> list[_Binding]:
                 continue
             source = parent if form is _SEND_IN else mid
             if not (_holds(net.contents[source], rule.consumed)
-                    and _holds(net.contents[mid], rule.promoter or {})):
+                    and _holds(net.contents[mid], rule.promoter)):
                 continue
             if form is _ENDO:
                 hosts = [s for s in net.children[parent]

@@ -39,20 +39,18 @@ from .core import (
     KEYWORDS,
     MAX_COUNT,
     MAX_DEPTH,
-    Configuration,
     Membrane,
+    Model,
     Multiset,
     NestedTree,
     Rule,
     RuleForm,
-    _Record,
-    _set,
     _wrap,
     build_configuration,
     iter_membranes,
 )
 
-__all__ = ["ParseError", "Model", "parse_model", "serialize_model", "rule_text", "lint"]
+__all__ = ["ParseError", "parse_model", "serialize_model", "rule_text", "lint"]
 
 _COUNT_DIGITS = len(str(MAX_COUNT))
 
@@ -70,26 +68,6 @@ class ParseError(ValueError):
         self.line = line
         self.column = column
         self.message = message
-
-
-class Model(_Record):
-    """A membrane structure plus its rule set."""
-
-    __slots__ = ("config", "rules")
-
-    def __init__(self, config: Configuration, rules: tuple[Rule, ...] = ()) -> None:
-        if not isinstance(config, Configuration):
-            raise ValueError(f"model config must be a Configuration, got {config!r}")
-        rules = tuple(rules)
-        seen: set[str] = set()
-        for rule in rules:
-            if not isinstance(rule, Rule):
-                raise ValueError(f"model rules must be Rule values, got {rule!r}")
-            if rule.id in seen:
-                raise ValueError(f"duplicate rule id {rule.id!r}")
-            seen.add(rule.id)
-        _set(self, "config", config)
-        _set(self, "rules", rules)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +246,7 @@ class _Parser:
         consumed = self.contents()
         self.expect("arrow", "'->'")
         produced = self.rhs()
-        promoter = None
+        promoter = EMPTY
         if self.at_word("if"):
             self.advance()
             promoter = self.contents()
@@ -323,7 +301,7 @@ def rule_text(rule: Rule) -> str:
     if rule.form in _HOST_WORDS:
         body += f" {_HOST_WORDS[rule.form]} {rule.host}"
     text = f"rule {rule.id}: {body}: {lhs} -> {rhs}"
-    if rule.promoter is not None:
+    if rule.promoter:
         text += f" if {rule.promoter}"
     return text
 
@@ -348,7 +326,7 @@ def lint(model: Model) -> list[str]:
     read: set[str] = set()
     produced: set[str] = set()
     for rule in model.rules:
-        read.update(rule.consumed, rule.promoter or ())
+        read.update(rule.consumed, rule.promoter)
         produced.update(rule.produced)
         labels = [rule.subject] + ([rule.host] if rule.host is not None else [])
         for label in labels:

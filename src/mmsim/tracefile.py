@@ -43,9 +43,9 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .core import _require_int
-from .engine import EngineError, Trace, TraceStep
-from .parser import Model, serialize_model
+from .core import Model, Trace, TraceStep, _require_int
+from .engine import EngineError
+from .parser import serialize_model
 
 __all__ = ["model_hash", "trace_lines", "dump_trace"]
 

@@ -24,7 +24,7 @@ from mmsim.core import (
     validate,
 )
 from mmsim.coupling import CouplingSpec
-from mmsim.parser import Model, serialize_model
+from mmsim.parser import Model, rule_text, serialize_model
 
 symbols = st.from_regex(r"_?[a-z][a-z0-9_]{0,3}", fullmatch=True).filter(
     lambda s: s not in KEYWORDS)
@@ -112,9 +112,13 @@ class TestRule:
         with pytest.raises(ValueError):
             Rule("r", RuleForm.REWRITE, "V", Multiset({"a": 1}), Multiset(), host="T")
 
-    def test_empty_promoter_normalized_to_none(self):
-        rule = rewrite("r", "skin", {"a": 1}, {"b": 1}, promoter={})
-        assert rule.promoter is None
+    def test_absent_promoter_is_empty(self):
+        # No promoter, None and an empty mapping all give EMPTY, and the
+        # rule's text has no promoter clause.
+        for promoter in ({}, {"promoter": None}, {"promoter": {}}):
+            rule = Rule("r", RuleForm.REWRITE, "skin", {"a": 1}, {"b": 1}, **promoter)
+            assert rule.promoter == EMPTY
+            assert rule_text(rule) == "rule r: in skin: a -> b"
 
     @pytest.mark.parametrize("form", ["in", None, RuleForm])
     def test_form_must_be_a_rule_form(self, form):

@@ -1,9 +1,12 @@
-"""Every exported name resolves, so a stale export of a deleted name fails."""
+"""Every exported name resolves, so a stale export of a deleted name fails,
+and each module imports only the package modules its layer allows."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -35,3 +38,42 @@ def test_package_exports_are_the_modules_all():
     cli = importlib.import_module("mmsim.cli")
     assert not set(mmsim.__all__) & (set(oracle.__all__) | set(cli.__all__))
     assert "oracle" not in mmsim.__all__ and "cli" not in mmsim.__all__
+
+
+# The package modules each module imports.  Values live in core, so the
+# engine, the coupling compiler and the bone study never read model text.
+LAYERS = {
+    "__init__": set(REEXPORTED),
+    "core": set(),
+    "rng": {"core"},
+    "parser": {"core"},
+    "oracle": {"core"},
+    "coupling": {"core"},
+    "engine": {"core", "rng"},
+    "bone": {"core", "coupling"},
+    "tracefile": {"core", "engine", "parser"},
+    "cli": set(REEXPORTED),
+}
+
+
+def _package_imports(path: Path) -> set[str]:
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module else (a.name for a in node.names))
+    return found
+
+
+def test_each_module_imports_only_its_layer():
+    paths = sorted(Path(mmsim.__file__).parent.glob("*.py"))
+    assert {path.stem: _package_imports(path) for path in paths} == LAYERS
+
+
+@pytest.mark.parametrize("name", ["Model", "EngineOptions", "StepResult", "AppliedRule",
+                                  "TraceStep", "Trace"])
+def test_value_types_are_the_ones_in_core(name):
+    value_type = getattr(mmsim.core, name)
+    assert getattr(mmsim, name) is value_type
+    assert name in mmsim.core.__all__
+    module = mmsim.parser if name == "Model" else mmsim.engine
+    assert getattr(module, name) is value_type

@@ -26,15 +26,15 @@ _MEMBRANE_REPR = ("Membrane(id=0, label='skin', contents=Multiset({}), children=
                   "Membrane(id=1, label='T', contents=Multiset({'c': 2}), children=()),))")
 _RULE_REPR = ("Rule(id='r', form=<RuleForm.REWRITE: 'in'>, subject='T', "
               "consumed=Multiset({'c': 1}), produced=Multiset({'d': 1}), host=None, "
-              "promoter=None)")
+              "promoter=Multiset({}))")
 
 # (class, fields with one value each, number of required fields, defaults
 # of the rest, whether a value is hashable, repr of the value)
 CASES = [
     (Rule,
      dict(id="r", form=RuleForm.REWRITE, subject="T", consumed=Multiset({"c": 1}),
-          produced=Multiset({"d": 1}), host=None, promoter=None),
-     5, dict(host=None, promoter=None), True, _RULE_REPR),
+          produced=Multiset({"d": 1}), host=None, promoter=EMPTY),
+     5, dict(host=None, promoter=EMPTY), True, _RULE_REPR),
     (RuleInstance,
      dict(rule=_rule, subject_id=1, host_id=2),
      2, dict(host_id=None), True,
