@@ -116,12 +116,12 @@ def _require_int(name: str, value: object, least: int | None = None,
 class Multiset(Mapping):
     """An immutable finite multiset of symbols.
 
-    Lookup of an absent symbol returns 0 (like ``collections.Counter``);
-    iteration yields symbols in sorted order so that every derived
-    rendering is deterministic.  Entries always have count >= 1.
+    Lookup of an absent symbol returns 0 (like ``collections.Counter``).
+    :meth:`items` is the ``(symbol, count)`` pairs in symbol order, sorted
+    once; iteration, hashing and rendering read it.  Counts are >= 1.
     """
 
-    __slots__ = ("_counts", "_hash")
+    __slots__ = ("_counts", "_items")
 
     def __init__(self, entries: Mapping[str, int] | Iterable[tuple[str, int]] | None = None):
         counts: dict[str, int] = {}
@@ -134,13 +134,19 @@ class Multiset(Mapping):
                 counts[sym] = counts.get(sym, 0) + n
                 _require_int(name, counts[sym], 1, MAX_COUNT)
         self._counts = counts
-        self._hash: int | None = None
+        self._items: tuple[tuple[str, int], ...] | None = None
 
     def __getitem__(self, sym: str) -> int:
         return self._counts.get(sym, 0)
 
+    def items(self) -> tuple[tuple[str, int], ...]:
+        if self._items is None:
+            counts = self._counts
+            self._items = tuple(sorted(counts.items()))
+        return self._items
+
     def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self._counts))
+        return (sym for sym, _ in self.items())
 
     def __len__(self) -> int:
         return len(self._counts)
@@ -154,22 +160,20 @@ class Multiset(Mapping):
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._counts.items()))
-        return self._hash
+        return hash(self.items())
 
     def __str__(self) -> str:
-        return ", ".join(s if n == 1 else f"{s}*{n}" for s, n in sorted(self._counts.items()))
+        return ", ".join(s if n == 1 else f"{s}*{n}" for s, n in self.items())
 
     def __repr__(self) -> str:
-        return f"Multiset({{{', '.join(f'{s!r}: {n}' for s, n in sorted(self._counts.items()))}}})"
+        return f"Multiset({{{', '.join(f'{s!r}: {n}' for s, n in self.items())}}})"
 
 
 def _wrap(counts: dict[str, int]) -> Multiset:
     # Internal constructor for already-validated count dicts.
     ms = Multiset.__new__(Multiset)
     ms._counts = counts
-    ms._hash = None
+    ms._items = None
     return ms
 
 

@@ -90,7 +90,6 @@ from .core import (
     EngineOptions,
     Membrane,
     Model,
-    Multiset,
     Rule,
     RuleInstance,
     StepResult,
@@ -141,20 +140,18 @@ class SelfCheckViolation(EngineError):
 # The rule table a run compiles once
 
 class _Entry:
-    """One rule as the enumerator and effect application read it.  Its
-    multisets become sorted ``(symbol, count)`` tuples, kept in *items* so
-    that the rules of a table share one tuple per distinct multiset."""
+    """One rule as the enumerator and effect application read it, its
+    multisets as their sorted ``(symbol, count)`` pairs."""
 
     __slots__ = ("index", "rule", "form", "host", "consumed", "produced", "promoter")
 
-    def __init__(self, index: int, rule: Rule, items: dict[Multiset, tuple]):
+    def __init__(self, index: int, rule: Rule):
         self.index = index
         self.rule = rule
         self.form = rule.form
         self.host = rule.host
         self.consumed, self.produced, self.promoter = (
-            items.setdefault(ms, tuple(sorted(ms._counts.items())))
-            for ms in (rule.consumed, rule.produced, rule.promoter))
+            ms.items() for ms in (rule.consumed, rule.produced, rule.promoter))
 
 
 class _Table:
@@ -164,9 +161,8 @@ class _Table:
 
     def __init__(self, rules: tuple[Rule, ...]):
         by_label: dict[str, list[_Entry]] = {}
-        items: dict[Multiset, tuple] = {}
         for index, rule in enumerate(rules):
-            by_label.setdefault(rule.subject, []).append(_Entry(index, rule, items))
+            by_label.setdefault(rule.subject, []).append(_Entry(index, rule))
         self.groups: list[tuple[str, list[tuple[str, _Entry]], list[tuple[str, _Entry]]]] = []
         for label, entries in by_label.items():
             # Rarest first: a symbol that many of the label's rules consume

@@ -73,7 +73,7 @@ class _Binding:
         self.host = host
         self.source = source  # membrane the consumption is charged to
         self.sink = sink      # membrane the production lands in
-        self.needs = dict(rule.consumed.items())
+        self.needs = rule.consumed.items()  # (symbol, count) pairs to charge
         self.moves = host is not None
         self.locks = frozenset((subject, host)) if self.moves else frozenset()
 
@@ -110,7 +110,7 @@ def _bindings(net: _Net, rules) -> list[_Binding]:
 def _max_copies(b: _Binding, residual, locked) -> int:
     if not locked.isdisjoint(b.locks):
         return 0
-    k = min(residual[b.source].get(s, 0) // n for s, n in b.needs.items())
+    k = min(residual[b.source].get(s, 0) // n for s, n in b.needs)
     return min(k, 1) if b.moves else k
 
 
@@ -118,7 +118,7 @@ def _successor(net: _Net, counts: list[int], bindings: list[_Binding]) -> Canon:
     contents = {mid: dict(c) for mid, c in net.contents.items()}
     children = {mid: list(c) for mid, c in net.children.items()}
     for b, k in zip(bindings, counts):
-        for s, n in b.needs.items():
+        for s, n in b.needs:
             contents[b.source][s] -= k * n
         for s, n in b.rule.produced.items():
             contents[b.sink][s] = contents[b.sink].get(s, 0) + k * n
@@ -149,7 +149,7 @@ def oracle_successors(config: Configuration, rules, bound: int = 64) -> set[Cano
     claimed: set = set()
     for i in reversed(range(len(bindings))):
         b = bindings[i]
-        claims = b.locks | {(b.source, s) for s in b.needs}
+        claims = b.locks | {(b.source, s) for s, _ in b.needs}
         contested[i] = not claimed.isdisjoint(claims)
         claimed |= claims
 
@@ -167,14 +167,14 @@ def oracle_successors(config: Configuration, rules, bound: int = 64) -> set[Cano
         top = _max_copies(b, residual, locked)
         for k in range(top, (0 if contested[i] else top) - 1, -1):
             counts[i] = k
-            for s, n in b.needs.items():
+            for s, n in b.needs:
                 residual[b.source][s] -= k * n
             if k:
                 locked.update(b.locks)
             search(i + 1)
             if k:
                 locked.difference_update(b.locks)
-            for s, n in b.needs.items():
+            for s, n in b.needs:
                 residual[b.source][s] += k * n
         counts[i] = 0
 

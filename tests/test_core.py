@@ -10,6 +10,7 @@ from mmsim.core import (
     EMPTY,
     KEYWORDS,
     MAX_COUNT,
+    _wrap,
     Configuration,
     Membrane,
     Multiset,
@@ -86,6 +87,14 @@ class TestMultiset:
         assert str(Multiset({"b": 1, "a": 2})) == "a*2, b"
         assert str(Multiset()) == ""
 
+    def test_items_are_one_tuple_in_symbol_order(self):
+        counts = {"b": 1, "a": 2, "_c": 3}
+        for ms in (Multiset(counts), _wrap(dict(counts))):
+            assert ms.items() == (("_c", 3), ("a", 2), ("b", 1))
+            assert ms.items() is ms.items()
+            assert list(ms) == ["_c", "a", "b"]
+        assert EMPTY.items() == ()
+
     @given(st.lists(st.tuples(symbols, st.integers(1, 4)), max_size=8), st.randoms())
     def test_split_and_shuffled_entries_equal(self, entries, random):
         # [("a", 1), ("a", 2)] and {"a": 3} are one multiset, whatever the order.
@@ -96,6 +105,9 @@ class TestMultiset:
         random.shuffle(shuffled)
         built, merged = Multiset(shuffled), Multiset(totals)
         assert built == merged and hash(built) == hash(merged)
+        assert built.items() == merged.items() == tuple(sorted(totals.items()))
+        assert hash(built) == hash(built.items())
+        assert list(built) == [sym for sym, _ in built.items()]
         assert Multiset([*shuffled, ("a", 1)]) != merged
 
 

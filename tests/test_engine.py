@@ -141,6 +141,16 @@ class TestEnumerate:
             assert a.consumed is b.consumed and a.produced is b.produced
             assert a.promoter is b.promoter
 
+    def test_entries_read_their_rules_pairs(self):
+        rules = build_bone_model(BoneParams(units=50, cycles=10, oc=3, ob=1)).rules
+        entries = [e for _, own, via_parent in engine._Table(tuple(rules)).groups
+                   for _, e in own + via_parent]
+        assert len(entries) == len(rules)
+        for e in entries:
+            assert e.consumed is e.rule.consumed.items()
+            assert e.produced is e.rule.produced.items()
+            assert e.promoter is e.rule.promoter.items()
+
     def test_key_symbol_is_in_the_membrane_the_rule_consumes_from(self):
         table = engine._Table((
             send_in("plain", "V", {"c": 1}, {}),

@@ -9,7 +9,8 @@ from collections import Counter
 
 import pytest
 
-from mmsim import oracle
+from mmsim import engine, oracle
+from mmsim.bone import BoneParams, build_bone_model
 from mmsim.core import RuleForm, build_configuration, rewrite, send_in
 from mmsim.oracle import OracleBoundExceeded, canonical_form, oracle_successors
 from mmsim.rng import SplitMix64
@@ -77,6 +78,59 @@ def test_engine_step_is_oracle_member_on_deep_random_systems():
     assert checked >= 300 and both_moves >= 3
 
 
+class _Order:
+    """A stand-in generator whose shuffle puts the list in a given order."""
+
+    def __init__(self, perm: tuple[int, ...]):
+        self.perm = perm
+
+    def shuffle(self, items: list) -> None:
+        items[:] = [items[i] for i in self.perm]
+
+
+def test_every_selection_order_gives_an_oracle_successor():
+    """Selection reads the seed only through the order its shuffle returns,
+    and every order has positive probability, so stepping a system under
+    every order checks every seed at once.  Greedy selection reaches no
+    successor outside the oracle's set, but not every one in it: the
+    successors that no order reaches are pinned at their counts."""
+    systems = successors = gap_systems = gap = 0
+    for make, seeds in ((random_system, 1500), (random_deep_system, 500)):
+        for seed in range(seeds):
+            config, rules = make(seed)
+            table = engine._compile(rules)
+            n = len(engine._enumerate(engine._State(config), table))
+            if not 1 <= n <= 6:
+                continue
+            try:
+                expected = oracle_successors(config, rules)
+            except OracleBoundExceeded:
+                continue
+            # Equal selections give equal successors: one form per selection.
+            forms = {}
+            for perm in itertools.permutations(range(n)):
+                state = engine._State(config)
+                applied = tuple(engine._step(state, table, _Order(perm)))
+                if applied not in forms:
+                    forms[applied] = canonical_form(state.config())
+            reached = set(forms.values())
+            assert reached <= expected, (make.__name__, seed)
+            systems += 1
+            successors += len(expected)
+            gap += len(expected - reached)
+            gap_systems += reached != expected
+    assert (systems, successors) == (916, 1458)
+    assert (gap_systems, gap) == (47, 113)
+
+
+def test_binding_needs_are_the_rules_consumed_pairs():
+    model = build_bone_model(BoneParams(units=50, cycles=10, oc=3, ob=1))
+    bindings = oracle._bindings(oracle._Net(model.config), model.rules)
+    assert bindings
+    for b in bindings:
+        assert b.needs is b.rule.consumed.items()
+
+
 def unpruned_successors(config, rules) -> set:
     """Every maximal count vector over the oracle's bindings, found by
     trying each vector up to each binding's own fit, with no pruning."""
@@ -84,13 +138,13 @@ def unpruned_successors(config, rules) -> set:
     bindings = oracle._bindings(net, rules)
 
     def own_fit(b) -> int:
-        fit = min(net.contents[b.source][s] // n for s, n in b.needs.items())
+        fit = min(net.contents[b.source][s] // n for s, n in b.needs)
         return min(fit, 1) if b.moves else fit
 
     def valid(counts) -> bool:
         used = Counter()
         for b, k in zip(bindings, counts):
-            for s, n in b.needs.items():
+            for s, n in b.needs:
                 used[b.source, s] += k * n
         locks = [m for b, k in zip(bindings, counts) if k and b.moves for m in b.locks]
         return (all(used[key] <= net.contents[key[0]][key[1]] for key in used)
