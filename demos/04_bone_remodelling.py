@@ -3,23 +3,11 @@
 Run with:  python3 demos/04_bone_remodelling.py
 """
 
-from mmsim import (
-    BoneParams,
-    CouplingSpec,
-    EngineOptions,
-    build_bone_model,
-    cycle_end_step,
-    density_series,
-    micro_rules,
-    run,
-    transit_total,
-)
+from mmsim import BoneParams, EngineOptions, build_bone_model, density_series, run, transit_total
 
 
 def run_to_halt(p: BoneParams):
-    # The last round trip's deposit step, then the halting step.
-    max_steps = cycle_end_step(p.cycles, micro_rules(CouplingSpec())) + 2
-    return run(build_bone_model(p), EngineOptions(seed=0), max_steps)
+    return run(build_bone_model(p), EngineOptions(seed=0), p.run_steps)
 
 
 def study(title: str, **params):

@@ -93,6 +93,14 @@ class BoneParams(_Record):
         _set(self, "cycles", cycles)
         _set(self, "units", units)
 
+    @property
+    def run_steps(self) -> int:
+        """The most steps a run of this model takes: through the last round
+        trip's deposit step, then the halting step.  A last round trip that
+        brings nothing back halts in its deposit step, and with no round
+        trip the carrier never leaves, so step 0 halts."""
+        return cycle_end_step(self.cycles, micro_rules(CouplingSpec())) + 2 if self.cycles else 1
+
 
 def encode_density(density: float, capacity: int) -> int:
     """Token count for a density, rounding ties away from zero."""

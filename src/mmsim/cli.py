@@ -18,9 +18,8 @@ import sys
 from collections import deque
 from typing import Callable, Iterator
 
-from .bone import BoneParams, DensitySampler, build_bone_model, micro_rules
+from .bone import BoneParams, DensitySampler, build_bone_model
 from .core import EngineOptions, Model, TraceStep, _require_int
-from .coupling import CouplingSpec, cycle_end_step
 from .engine import EngineError, iter_steps, label_totals
 from .parser import ParseError, lint, parse_model, serialize_model
 from .rng import RNG_ALGORITHM
@@ -130,9 +129,7 @@ def _bone(params: BoneParams, seed: int, emit_model: str | None,
     if emit_model is not None:
         with _naming(emit_model), open(emit_model, "w", encoding="utf-8", newline="\n") as fp:
             fp.write(serialize_model(model))
-    # The last round trip's deposit step, then the halting step.
-    last_end = cycle_end_step(params.cycles, micro_rules(CouplingSpec()))
-    steps = iter_steps(model, options, max_steps=last_end + 2)
+    steps = iter_steps(model, options, max_steps=params.run_steps)
     sampler = DensitySampler(range(1, params.units + 1), params.capacity)
     _drive(model, options, steps, sampler.add, trace_path, 1)
     print("unit,cycle,density")

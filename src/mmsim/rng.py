@@ -12,8 +12,7 @@ a generator mismatch instead of silently diverging.
 
 from __future__ import annotations
 
-import sys
-from array import array
+import struct
 
 from .core import _require_int
 
@@ -31,18 +30,15 @@ _MIX2 = 0x94D049BB133111EB
 # The shuffle mixes _BLOCK draws at once, each in its own 128-bit lane of
 # one int: a lane's low 64 bits hold the draw, and its high 64 bits hold
 # the product of a multiply before the lane is masked back to 64 bits.
-# Lane k starts from the state plus (k + 1) golden steps.
+# Lane k starts from the state plus (k + 1) golden steps.  The unmasked
+# last shift leaves bits of the next lane in each high word, so the block's
+# little-endian decode reads each lane's low word and skips its high word.
 _BLOCK = 32
 _ONES = sum(1 << (128 * k) for k in range(_BLOCK))
 _STEPS = sum((((k + 1) * _GOLDEN) & MASK64) << (128 * k) for k in range(_BLOCK))
 _LANES = MASK64 * _ONES
 _ADVANCE = (_BLOCK * _GOLDEN) & MASK64
-# A block is written out little-endian and read back as 64-bit words, so
-# each lane is its draw's word then a zero word; a big-endian machine swaps
-# the bytes of each word after reading.
-if array("Q").itemsize != 8:
-    raise ImportError("mmsim.rng needs 8-byte array('Q') items")
-_SWAP = sys.byteorder == "big"
+_DRAWS = struct.Struct("<" + "Q8x" * _BLOCK)
 
 
 class SplitMix64:
@@ -63,7 +59,7 @@ class SplitMix64:
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound) via rejection sampling (no modulo bias)."""
-        _require_int("bound", bound, 1)
+        _require_int("bound", bound, 1, _TWO64)
         threshold = (MASK64 + 1) - ((MASK64 + 1) % bound)
         while True:
             v = self.next_u64()
@@ -77,11 +73,11 @@ class SplitMix64:
         ``len(items)`` down to 2, with the generator inlined.  ``2**64 %
         n < n``, so a draw below ``2**64 - n`` is below the rejection
         threshold and is accepted without computing it.  The draws are
-        mixed ``_BLOCK`` at a time, in the lanes of one int; a block whose
-        largest draw is not below ``2**64 - n`` for its largest bound, and
-        the last bounds that fill no block, go through the one-draw loop
-        from that block's state, so the stream and its rejections are the
-        ones ``below`` makes.
+        mixed ``_BLOCK`` at a time, in the lanes of one int, and read out
+        by one ``struct`` decode; a block whose largest draw is not below
+        ``2**64 - n`` for its largest bound, and the last bounds that fill
+        no block, go through the one-draw loop from that block's state, so
+        the stream and its rejections are the ones ``below`` makes.
         """
         state = self._state
         n = len(items)
@@ -89,10 +85,7 @@ class SplitMix64:
             z = (state * _ONES + _STEPS) & _LANES
             z = (((z ^ (z >> 30)) & _LANES) * _MIX1) & _LANES
             z = (((z ^ (z >> 27)) & _LANES) * _MIX2) & _LANES
-            words = array("Q", (z ^ (z >> 31)).to_bytes(16 * _BLOCK, "little"))
-            if _SWAP:
-                words.byteswap()
-            draws = words[::2]
+            draws = _DRAWS.unpack((z ^ (z >> 31)).to_bytes(16 * _BLOCK, "little"))
             if max(draws) >= _TWO64 - n:
                 break
             for z in draws:

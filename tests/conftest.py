@@ -9,9 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from mmsim.bone import BoneParams, build_bone_model, micro_rules
+from mmsim.bone import BoneParams, build_bone_model
 from mmsim.core import Configuration, Membrane, Multiset, Rule, RuleForm
-from mmsim.coupling import CouplingSpec, cycle_end_step
 from mmsim.engine import EngineOptions, StepResult, Trace, run, step
 from mmsim.rng import SplitMix64
 
@@ -45,11 +44,10 @@ def chained_steps(config: Configuration, rules: Sequence[Rule], rng: SplitMix64,
 
 @lru_cache(maxsize=None)
 def bone_run(seed: int = 0, **params) -> tuple[Trace, BoneParams]:
-    """The bone model of *params* run for the steps ``mmsim bone`` runs:
-    through the last round trip's deposit step and the halting step."""
+    """The bone model of *params* run for the steps ``mmsim bone`` runs,
+    ``BoneParams.run_steps``."""
     p = BoneParams(**params)
-    max_steps = cycle_end_step(p.cycles, micro_rules(CouplingSpec())) + 2
-    return run(build_bone_model(p), EngineOptions(seed=seed), max_steps), p
+    return run(build_bone_model(p), EngineOptions(seed=seed), p.run_steps), p
 
 
 def _tree(labels: list[str], parents: list[int | None],

@@ -15,10 +15,9 @@ from pathlib import Path
 import pytest
 
 import mmsim
-from mmsim.bone import BoneParams, build_bone_model, density_series, micro_rules
+from mmsim.bone import BoneParams, build_bone_model, density_series
 from mmsim.cli import _build_argparser, main
 from mmsim.core import MAX_COUNT, MAX_DEPTH
-from mmsim.coupling import CouplingSpec, cycle_end_step
 from mmsim.engine import AppliedRule, TraceStep
 from mmsim.parser import parse_model, serialize_model
 from mmsim.tracefile import model_hash, trace_lines
@@ -287,9 +286,9 @@ class TestBone:
         trace = tmp_path / "bone.jsonl"
         assert main(["bone", "--oc", "1", "--ob", "1", "--trace", str(trace)]) == 0
         capsys.readouterr()
-        # The header, steps 0 through the deposit step, then the halting step.
+        # The header, then every step of the run.
         lines = trace.read_text().splitlines()
-        assert len(lines) == cycle_end_step(1, micro_rules(CouplingSpec())) + 3
+        assert len(lines) == BoneParams(oc=1, ob=1).run_steps + 1
 
     @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
     def test_seed_outside_unsigned_64_bits_is_one_error_line(self, seed, tmp_path, capsys):
@@ -428,7 +427,7 @@ def test_cli_import_loads_no_dataclasses_oracle_or_hashlib():
     # Every CLI process pays for what `import mmsim.cli` loads; hashlib
     # loads the OpenSSL binding.
     code = ("import sys; before = set(sys.modules); import mmsim.cli; "
-            "print(sorted({'dataclasses', 'mmsim.oracle', 'hashlib', '_hashlib'}"
+            "print(sorted({'array', 'dataclasses', 'mmsim.oracle', 'hashlib', '_hashlib'}"
             " & (sys.modules.keys() - before)))")
     out = _python("-c", code, capture_output=True, check=True)
     assert out.stdout == "[]\n"

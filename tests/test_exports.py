@@ -52,7 +52,7 @@ LAYERS = {
     "engine": {"core", "rng"},
     "bone": {"core", "coupling"},
     "tracefile": {"core", "engine", "parser"},
-    "cli": set(REEXPORTED),
+    "cli": set(REEXPORTED) - {"coupling"},
 }
 
 

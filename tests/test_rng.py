@@ -34,9 +34,11 @@ def test_below_range_and_determinism():
 
 
 def test_below_rejects_nonpositive():
-    for bound in (0, -1, 2.5, True, "3"):
+    for bound in (0, -1, 2.5, True, "3", (1 << 64) + 1):
         with pytest.raises(ValueError):
             SplitMix64(0).below(bound)
+    # The largest bound rejects no draw: it returns the draw itself.
+    assert SplitMix64(0).below(1 << 64) == VECTORS[0][0]
 
 
 def test_shuffle_reproducible_and_permutes():
