@@ -33,7 +33,6 @@ Everything here returns plain models and rules; serialization is
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 from .core import MAX_COUNT, Model, Rule, Trace, TraceStep, _Record, _require_int, _set, rewrite
@@ -103,10 +102,15 @@ class BoneParams(_Record):
 
 
 def encode_density(density: float, capacity: int) -> int:
-    """Token count for a density, rounding ties away from zero."""
+    """Token count for a density, rounding ties away from zero.  The density
+    is the decimal its ``repr`` prints, multiplied exactly: 0.58 of 25
+    tokens is 14.5, which rounds to 15."""
     _require_int("capacity", capacity, 1)
     _check_density(density)
-    return min(capacity, math.floor(density * capacity + 0.5))
+    digits, _, exponent = repr(float(density)).partition("e")
+    whole, _, fraction = digits.partition(".")
+    scale = 10 ** (len(fraction) - int(exponent or 0))
+    return (2 * int(whole + fraction) * capacity + scale) // (2 * scale)
 
 
 def decode_density(tokens: int, capacity: int) -> float:

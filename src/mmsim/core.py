@@ -37,7 +37,6 @@ __all__ = [
     "MAX_DEPTH",
     "MAX_INSTANCES",
     "KEYWORDS",
-    "is_symbol",
     "check_symbol",
     "Multiset",
     "EMPTY",
@@ -90,14 +89,10 @@ _SYMBOL_RE = re.compile(rf"\A{_SYMBOL_PATTERN}\Z")
 KEYWORDS = frozenset({"rule", "in", "endo", "into", "exo", "from", "if"})
 
 
-def is_symbol(name: object) -> bool:
-    """True if *name* is a well-formed symbol or label token and no keyword."""
-    return (isinstance(name, str) and _SYMBOL_RE.match(name) is not None
-            and name not in KEYWORDS)
-
-
 def check_symbol(name: object) -> None:
-    if not is_symbol(name):
+    """Raise ``ValueError`` unless *name* is a well-formed symbol or label
+    token and no keyword."""
+    if not isinstance(name, str) or _SYMBOL_RE.match(name) is None or name in KEYWORDS:
         raise ValueError(f"invalid symbol {name!r}")
 
 

@@ -62,6 +62,8 @@ If no instance is applicable the step reports ``halted`` and leaves the
 state unchanged.  Otherwise it rescans its candidates for maximality; and as
 only the endo/exo moves change the tree, only a step that moved a membrane
 walks it (each membrane reached once from the skin, none past ``MAX_DEPTH``).
+Each check raises at the first fault it finds, naming the rule and subject
+or the membrane at fault.
 
 A run is a stream: :func:`iter_steps` yields each :class:`TraceStep` as it
 is made, and :func:`run` collects the same stream into a :class:`Trace`.
@@ -422,12 +424,12 @@ def _apply(state: _State, applied: Sequence[tuple[tuple, int]]) -> bool:
     return bool(moves)
 
 
-def _structural_violations(state: _State) -> list[str]:
-    """Every membrane must be reachable from the skin exactly once.  An
-    empty list means the state is valid.  The walk goes down level by level
-    and raises :class:`DepthExceeded` on a membrane deeper than
-    ``MAX_DEPTH``, which only an endo move can nest."""
-    violations: list[str] = []
+def _check_tree(state: _State) -> None:
+    """Every membrane must be reachable from the skin exactly once.  The
+    walk goes down level by level and raises at the first fault it finds:
+    :class:`DepthExceeded` on a membrane deeper than ``MAX_DEPTH``, which
+    only an endo move can nest, else :class:`SelfCheckViolation` naming a
+    membrane reached twice or the smallest one not reached at all."""
     seen: set[int] = set()
     level = [state.skin]
     depth = 1
@@ -438,23 +440,21 @@ def _structural_violations(state: _State) -> list[str]:
         below: list[int] = []
         for mid in level:
             if mid in seen:
-                violations.append(f"shared-membrane: membrane id {mid} reachable twice")
-                continue
+                raise SelfCheckViolation(f"post-step tree: membrane {mid} is reachable twice")
             seen.add(mid)
             below.extend(state.children[mid])
         level = below
         depth += 1
-    for mid in sorted(state.labels.keys() - seen):
-        violations.append(f"detached: membrane {mid} is not reachable from the skin")
-    return violations
+    if len(seen) < len(state.labels):
+        raise SelfCheckViolation(f"post-step tree: membrane {min(state.labels.keys() - seen)} "
+                                 "is not reachable from the skin")
 
 
 def _check_maximal(candidates: list[tuple], contents: dict[int, dict[str, int]],
                    residual: dict[int, dict[str, int]], locked: set[int]) -> None:
     """The maximality rescan of every candidate against what selection
-    left; runs before the effects are applied, while *contents* still holds
-    the pre-step counts."""
-    leftover = 0
+    left; raises at the first one that still fits.  It runs before the
+    effects are applied, while *contents* still holds the pre-step counts."""
     for _, sid, hid, source, e in candidates:
         if hid is not None and (sid in locked or hid in locked):
             continue
@@ -465,9 +465,8 @@ def _check_maximal(candidates: list[tuple], contents: dict[int, dict[str, int]],
             if left.get(sym, 0) < n:
                 break
         else:
-            leftover += 1
-    if leftover:
-        raise SelfCheckViolation(f"step is not maximal: {leftover} instances still addable")
+            raise SelfCheckViolation(
+                f"step is not maximal: rule {e.rule.id!r} still applies to membrane {sid}")
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +486,7 @@ def _step(state: _State, table: _Table, rng: SplitMix64) -> list[tuple[tuple, in
     _check_maximal(candidates, state.contents, residual, locked)
     applied = [(cand, k) for cand, k in zip(candidates, counts) if k]
     if _apply(state, applied):
-        violations = _structural_violations(state)
-        if violations:
-            raise SelfCheckViolation(f"post-step configuration invalid: {violations}")
+        _check_tree(state)
     return applied
 
 

@@ -12,7 +12,7 @@ from mmsim.bone import (
     encode_density,
     micro_rules,
 )
-from mmsim.core import build_configuration
+from mmsim.core import MAX_COUNT, build_configuration
 from mmsim.coupling import CouplingSpec
 from mmsim.engine import label_totals, run, step
 from mmsim.oracle import canonical_form, oracle_successors
@@ -30,6 +30,14 @@ class TestDensityCodec:
         (0.125, 20, 3),   # 2.5 rounds away from zero
         (0.33, 20, 7),
         (1.0, 1, 1),
+        # The density is the decimal its repr prints: 0.58 * 25 is 14.5, not
+        # the float product 14.499999999999998.
+        (0.58, 25, 15),
+        (0.7, 45, 32),
+        # Exact past 2**53, where a float product loses the last token.
+        (0.5, 2**53 + 1, 2**52 + 1),
+        (0.3, 108086391056891904, 32425917317067571),
+        (0.75, MAX_COUNT, 6917529027641081855),
     ])
     def test_encode(self, density, capacity, tokens):
         assert encode_density(density, capacity) == tokens

@@ -425,9 +425,11 @@ def _python(*args: str, env: dict[str, str | None] | None = None,
 
 def test_cli_import_loads_no_dataclasses_oracle_or_hashlib():
     # Every CLI process pays for what `import mmsim.cli` loads; hashlib
-    # loads the OpenSSL binding.
+    # loads the OpenSSL binding, and the density codec needs neither
+    # decimal nor fractions.
     code = ("import sys; before = set(sys.modules); import mmsim.cli; "
-            "print(sorted({'array', 'dataclasses', 'mmsim.oracle', 'hashlib', '_hashlib'}"
+            "print(sorted({'array', 'dataclasses', 'decimal', 'fractions', 'mmsim.oracle',"
+            " 'hashlib', '_hashlib'}"
             " & (sys.modules.keys() - before)))")
     out = _python("-c", code, capture_output=True, check=True)
     assert out.stdout == "[]\n"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,8 +19,8 @@ from mmsim.core import (
     Rule,
     RuleForm,
     build_configuration,
+    check_symbol,
     endo,
-    is_symbol,
     iter_membranes,
     rewrite,
     structural_violations,
@@ -34,16 +36,18 @@ symbols = st.from_regex(r"_?[a-z][a-z0-9_]{0,3}", fullmatch=True).filter(
 class TestSymbols:
     @pytest.mark.parametrize("name", ["c", "T1", "p13", "_cl", "__x", "a_b_2", "BMU"])
     def test_valid(self, name):
-        assert is_symbol(name)
+        check_symbol(name)
 
     @pytest.mark.parametrize("name", ["", "_", "1a", "9", "a-b", "a b", "Ω", None, 3])
     def test_invalid(self, name):
-        assert not is_symbol(name)
+        with pytest.raises(ValueError, match=f"^invalid symbol {re.escape(repr(name))}$"):
+            check_symbol(name)
 
     @pytest.mark.parametrize("word", sorted(KEYWORDS))
     def test_keywords_are_no_names(self, word):
         # serialize_model would write them where parse_model reserves them
-        assert not is_symbol(word)
+        with pytest.raises(ValueError, match=f"^invalid symbol '{word}'$"):
+            check_symbol(word)
         with pytest.raises(ValueError):
             Multiset({word: 1})
         with pytest.raises(ValueError):

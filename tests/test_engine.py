@@ -209,23 +209,24 @@ class TestSelfCheck:
         return engine._State(cfg)
 
     def test_valid_state_has_no_violations(self):
-        assert engine._structural_violations(self.flat_state()) == []
+        assert engine._check_tree(self.flat_state()) is None
 
     def test_detached_cycle_reported(self):
         state = self.flat_state()
-        # A (1) and B (2) become each other's child, cut off from the skin.
+        # A (1) and B (2) become each other's child, cut off from the skin;
+        # the check names the smaller of the two.
         state.children[0].remove(1)
         state.children[2].append(1)
-        violations = engine._structural_violations(state)
-        assert [v for v in violations if v.startswith("detached")] == [
-            "detached: membrane 1 is not reachable from the skin",
-            "detached: membrane 2 is not reachable from the skin"]
+        with pytest.raises(SelfCheckViolation) as failure:
+            engine._check_tree(state)
+        assert str(failure.value) == "post-step tree: membrane 1 is not reachable from the skin"
 
     def test_membrane_under_two_parents_reported(self):
         state = self.flat_state()
         state.children[3].append(2)
-        violations = engine._structural_violations(state)
-        assert violations == ["shared-membrane: membrane id 2 reachable twice"]
+        with pytest.raises(SelfCheckViolation) as failure:
+            engine._check_tree(state)
+        assert str(failure.value) == "post-step tree: membrane 2 is reachable twice"
 
     @staticmethod
     def rescan(tree, rules, residual, locked):
@@ -237,19 +238,22 @@ class TestSelfCheck:
     DRAIN_RULES = [rewrite("r", "skin", {"c": 1}, {})]
 
     def test_non_maximal_selection_reported(self):
-        with pytest.raises(SelfCheckViolation, match="not maximal: 1 instances"):
+        with pytest.raises(SelfCheckViolation) as failure:
             self.rescan(self.DRAIN, self.DRAIN_RULES, {}, set())
+        assert str(failure.value) == "step is not maximal: rule 'r' still applies to membrane 0"
 
     def test_residual_that_fits_one_more_copy_reported(self):
-        with pytest.raises(SelfCheckViolation, match="not maximal: 1 instances"):
+        with pytest.raises(SelfCheckViolation) as failure:
             self.rescan(self.DRAIN, self.DRAIN_RULES, {0: {"c": 1}}, set())
+        assert str(failure.value) == "step is not maximal: rule 'r' still applies to membrane 0"
 
     MOVE = ("skin", {}, [("V", {"p0": 1}, []), ("CU", {}, [])])
     MOVE_RULES = [endo("e", "V", "CU", {"p0": 1}, {"p1": 1})]
 
     def test_move_with_free_lock_pair_reported(self):
-        with pytest.raises(SelfCheckViolation, match="not maximal: 1 instances"):
+        with pytest.raises(SelfCheckViolation) as failure:
             self.rescan(self.MOVE, self.MOVE_RULES, {}, {0})
+        assert str(failure.value) == "step is not maximal: rule 'e' still applies to membrane 1"
 
     def test_move_with_locked_subject_accepted(self):
         self.rescan(self.MOVE, self.MOVE_RULES, {}, {1})
@@ -260,7 +264,7 @@ class TestSelfCheck:
         model = parse_model("[skin: t, n*5 [V: p0] [CU: ]] rule r: in skin: t, n -> t "
                             "rule e: endo V into CU: p0 -> p1 rule x: exo V from CU: p1 -> p2")
         expected = run(model, max_steps=10)
-        calls = {"_check_maximal": 0, "_structural_violations": 0}
+        calls = {"_check_maximal": 0, "_check_tree": 0}
 
         def counting(name):
             real = getattr(engine, name)
@@ -278,7 +282,7 @@ class TestSelfCheck:
         applying = sum(not s.halted for s in trace.steps)
         moving = sum(any(a.rule in ("e", "x") for a in s.applied) for s in trace.steps)
         assert (applying, moving) == (5, 2) and trace.halted
-        assert calls == {"_check_maximal": applying, "_structural_violations": moving}
+        assert calls == {"_check_maximal": applying, "_check_tree": moving}
 
     def test_fault_made_by_a_move_ends_the_run(self, monkeypatch):
         # A and B each move into the other; the mover-lock lets only one
@@ -292,8 +296,9 @@ class TestSelfCheck:
             return residual, locked, [1] * len(candidates)
 
         monkeypatch.setattr(engine, "_select_maximal", both)
-        with pytest.raises(SelfCheckViolation, match="detached: membrane 1") as failure:
+        with pytest.raises(SelfCheckViolation) as failure:
             run(model, max_steps=10)
+        assert str(failure.value) == "post-step tree: membrane 1 is not reachable from the skin"
         assert failure.value.step == 0
 
     @staticmethod
@@ -313,7 +318,7 @@ class TestSelfCheck:
         state.parent[mid] = parent
 
     def test_chain_at_max_depth_is_valid(self):
-        assert engine._structural_violations(self.chain_state(MAX_DEPTH)) == []
+        assert engine._check_tree(self.chain_state(MAX_DEPTH)) is None
 
     def test_chain_past_max_depth_raises_depth_exceeded(self):
         state = self.chain_state(MAX_DEPTH)
@@ -321,7 +326,7 @@ class TestSelfCheck:
         self.attach(state, deepest, 500)
         self.attach(state, deepest, 300)
         with pytest.raises(DepthExceeded) as failure:
-            engine._structural_violations(state)
+            engine._check_tree(state)
         assert str(failure.value) == (
             f"an endo move nests membrane 300 deeper than {MAX_DEPTH} levels")
 
